@@ -44,9 +44,9 @@ def interval_mass(a: float, b: float, gr: float) -> float:
 def region_mass(q: float, g0: float, gr: float) -> float:
     c = (1.0 - 2.0 * q) * math.exp(g0 - gr)
     if c >= 1.0:
-        return 0.0
+        return 1.0  # q below every p(x): the region is the whole line
     if c <= -1.0:
-        return 1.0
+        return 0.0  # q above every p(x): the region is empty
     th = math.acos(c)
     total = 0.0
     k = 0

@@ -157,9 +157,10 @@ def _pair_from(settings: Settings, quad) -> tuple[DecoherencePair, str]:
 
 def _pmap(fn, payloads, jobs: int) -> list:
     items = list(payloads)
-    if jobs <= 1 or len(items) <= 1:
+    workers = min(jobs, len(items), os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(p) for p in items]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 
 

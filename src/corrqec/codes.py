@@ -262,10 +262,6 @@ def empirical_goodness(n: int, k: int, epsilon: float, samples: int,
     return hits / samples
 
 
-def _lex_key(vec: int, n: int) -> str:
-    return "".join("1" if (vec >> j) & 1 else "0" for j in range(n))
-
-
 def coset_representatives(pair: CssCodePair) -> list[int]:
     """One representative per coset of dual(C1) in dual(C2).
 
@@ -290,9 +286,9 @@ def coset_representatives(pair: CssCodePair) -> list[int]:
             if (mask >> j) & 1:
                 q0 ^= g
         coset = subgroup ^ np.uint64(q0)
-        rep = min((int(v) for v in coset), key=lambda v: _lex_key(v, n))
+        rep = min((int(v) for v in coset), key=lambda v: _bits_to_str(v, n))
         reps.append(rep)
-    reps.sort(key=lambda v: _lex_key(v, n))
+    reps.sort(key=lambda v: _bits_to_str(v, n))
     return reps
 
 

@@ -7,7 +7,10 @@ the sigma_z product basis, with
 
 Its Pauli-Z representation has coefficient matrix alpha = 4^-n H e^-C H
 (H the +-1 Walsh kernel), whose diagonal depends on the label weight only
-and is also available through a Gaussian-average quadrature as beta(n, w).
+and is also available as the Gaussian average beta(n, w).  That average
+has one numerical route: log_beta, adaptive Gauss-Legendre panels
+(quadrature.integrate) on the log-shifted integrand, accurate to log_tol
+in absolute log-space error.
 """
 from __future__ import annotations
 
@@ -15,15 +18,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .bitops import index_weights, popcount
 from .errors import ConvergenceError, DomainError, SizeLimitError
+from .quadrature import integrate, uniform_edges
 
 __all__ = [
     "DecoherencePair", "BitString", "AlphaMatrix", "coefficient_c",
     "apply_channel", "alpha_matrix", "p_of_x", "beta", "log_beta",
-    "walsh_transform", "hermite_nodes_logweights",
+    "walsh_transform",
 ]
 
 
@@ -217,95 +220,32 @@ def p_of_x(pair: DecoherencePair, x):
     return float(val) if np.isscalar(x) or xa.ndim == 0 else val
 
 
-def _log_p_both(pair: DecoherencePair, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # log p_x and log(1 - p_x) from all-nonnegative decompositions:
+def _p_both(pair: DecoherencePair, x):
+    # p_x and 1 - p_x from all-nonnegative decompositions:
     # p = ((1 - e^-g) + 2 e^-g sin^2 x)/2, 1-p the same with cos^2 x
     g = pair.gamma0 - pair.gammaR
     one_minus = -math.expm1(-g)
     damp = 2.0 * math.exp(-g)
-    with np.errstate(divide="ignore"):
-        lp = math.log(0.5) + np.log(one_minus + damp * np.sin(x) ** 2)
-        l1p = math.log(0.5) + np.log(one_minus + damp * np.cos(x) ** 2)
-    return lp, l1p
-
-
-_HERMITE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def hermite_nodes_logweights(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Hermite nodes and log-weights.
-
-    Weights come from the Christoffel sum 1/sum_k p_k(x_i)^2 over the
-    orthonormal polynomials, run with periodic rescaling so the result
-    stays finite far beyond the underflow point of the plain weights.
-    """
-    cached = _HERMITE_CACHE.get(m)
-    if cached is not None:
-        return cached
-    x, _ = special.roots_hermite(m)
-    a = np.full(m, math.pi ** -0.25)
-    b = np.zeros(m)
-    acc = a * a
-    scale_log = np.zeros(m)
-    for k in range(m - 1):
-        c = x * math.sqrt(2.0 / (k + 1)) * a - math.sqrt(k / (k + 1)) * b
-        b, a = a, c
-        acc = acc + a * a
-        big = np.abs(a) > 1e150
-        if big.any():
-            s = np.where(big, np.abs(a), 1.0)
-            a = a / s
-            b = b / s
-            acc = acc / (s * s)
-            scale_log = scale_log + 2.0 * np.log(s)
-    logw = -(np.log(acc) + scale_log)
-    _HERMITE_CACHE[m] = (x, logw)
-    return x, logw
-
-
-def _log_beta_gh(n, w, pair, nodes):
-    u, logw = hermite_nodes_logweights(nodes)
-    lp, l1p = _log_p_both(pair, math.sqrt(pair.gammaR) * u)
-    terms = logw.copy()
-    if w > 0:
-        terms = terms + w * lp
-    if w < n:
-        terms = terms + (n - w) * l1p
-    return float(special.logsumexp(terms)) - 0.5 * math.log(math.pi)
-
-
-def _log_beta_wide(n, w, pair, log_tol):
-    # Gaussian too wide for the Hermite substitution: composite panels in log space
-    L = 8.0 * math.sqrt(pair.gammaR)
-    gx, gw = np.polynomial.legendre.leggauss(15)
-    log_gw = np.log(gw)
-    panels = max(16, int(math.ceil(2.0 * L / (math.pi / 8.0))))
-    prev = None
-    for _ in range(8):
-        edges = np.linspace(-L, L, panels + 1)
-        half = 0.5 * (edges[1:] - edges[:-1])
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        xs = mid[:, None] + half[:, None] * gx
-        lp, l1p = _log_p_both(pair, xs)
-        terms = -xs * xs / pair.gammaR - 0.5 * math.log(math.pi * pair.gammaR) \
-            + np.log(half)[:, None] + log_gw
-        if w > 0:
-            terms = terms + w * lp
-        if w < n:
-            terms = terms + (n - w) * l1p
-        cur = float(special.logsumexp(terms.ravel()))
-        if prev is not None and abs(cur - prev) < log_tol:
-            return cur
-        prev = cur
-        panels *= 2
-    raise ConvergenceError("wide-Gaussian beta quadrature failed to settle",
-                           estimate=prev, error_estimate=abs(cur - prev))
+    return 0.5 * (one_minus + damp * np.sin(x) ** 2), 0.5 * (one_minus + damp * np.cos(x) ** 2)
 
 
 def log_beta(n: int, w: int, pair: DecoherencePair, *,
-             log_tol: float = 1e-10, start_nodes: int = 64,
-             max_nodes: int = 8192) -> float:
-    """log beta_w; absolute log-space accuracy tracks log_tol."""
+             log_tol: float = 1e-10) -> float:
+    """log beta_w = log E_x[p_x^w (1 - p_x)^(n-w)], x ~ N(0, Gamma_r / 2).
+
+    With phi(x) the log of the Gaussian-weighted integrand and M = phi(x0)
+    its largest sampled value, exp(phi - M) is integrated on adaptive
+    Gauss-Legendre panels (quadrature.integrate) over x >= 0 and doubled,
+    phi being even; it is formed from differences to x0, so it neither
+    underflows nor loses digits however deep the tail.  The range is
+    [0, pi/2 + sqrt(80 Gamma_r)], cut further to where the Gaussian factor
+    alone is above e^-80 times the largest sampled integrand, and starts
+    as panels no wider than sqrt(Gamma_r)/2 or pi/16.  The returned value
+    is within log_tol (absolute, in log space) by the panel error
+    estimate, on top of the rounding of M itself (about 1e-16 |M|);
+    ConvergenceError if the panel budget runs out.  Gamma_r = 0 is the
+    closed form.
+    """
     if n < 1 or not 0 <= w <= n:
         raise DomainError(f"invalid (n, w) = ({n}, {w})")
     if pair.gammaR == 0.0:
@@ -316,25 +256,55 @@ def log_beta(n: int, w: int, pair: DecoherencePair, *,
         if w < n:
             val += (n - w) * math.log1p(-po)
         return val
-    if math.sqrt(pair.gammaR) > math.pi / 4.0:
-        return _log_beta_wide(n, w, pair, log_tol)
-    m = start_nodes
-    prev = cur = _log_beta_gh(n, w, pair, m)
-    while m < max_nodes:
-        m *= 2
-        cur = _log_beta_gh(n, w, pair, m)
-        if abs(cur - prev) < log_tol or (cur == -math.inf and prev == -math.inf):
-            return cur
-        prev = cur
-    raise ConvergenceError(f"beta quadrature not converged at {max_nodes} nodes",
-                           estimate=prev, error_estimate=abs(cur - prev))
+    gr = pair.gammaR
+    root = math.sqrt(gr)
+
+    def phi(x):
+        p, p1 = _p_both(pair, x)
+        with np.errstate(divide="ignore"):
+            return -x * x / gr + (w * np.log(p) if w > 0 else 0.0) \
+                + ((n - w) * np.log(p1) if w < n else 0.0)
+
+    # beyond sqrt(Gamma_r (80 - top)) the Gaussian factor alone is below
+    # e^-80 of the integrand at the probe maximum, and the flip factor never
+    # exceeds 1; beyond pi/2 + sqrt(80 Gamma_r) every period image is
+    # e^-80 below its copy in [0, pi/2]
+    probe = np.concatenate([root * np.linspace(0.0, 12.0, 49),
+                            np.linspace(0.0, 0.5 * math.pi, 65)])
+    vals = phi(probe)
+    x_hi = min(0.5 * math.pi + math.sqrt(80.0 * gr), math.sqrt(gr * (80.0 - vals.max())))
+    edges = uniform_edges(0.0, x_hi, max_width=min(0.5 * root, math.pi / 16.0))
+    sampled = np.concatenate([probe, edges])
+    vals = np.concatenate([vals, phi(edges)])
+    x0, m = float(sampled[np.argmax(vals)]), float(vals.max())
+    p0, p10 = _p_both(pair, x0)
+    decay = math.exp(-(pair.gamma0 - gr))
+
+    def shifted(x):
+        # exp(phi(x) - m) from differences, so that the rounding error of
+        # phi itself (about eps |m|) does not floor the attainable log_tol:
+        # p_x - p_x0 = e^-g sin(x - x0) sin(x + x0)
+        dp = decay * np.sin(x - x0) * np.sin(x + x0)
+        with np.errstate(divide="ignore"):
+            return np.exp(-(x - x0) * (x + x0) / gr
+                          + (w * np.log1p(dp / p0) if w > 0 else 0.0)
+                          + ((n - w) * np.log1p(-dp / p10) if w < n else 0.0))
+
+    shift = m + math.log(2.0) - 0.5 * math.log(math.pi * gr)
+    try:
+        value, _ = integrate(shifted, edges, rel_tol=log_tol)
+    except ConvergenceError as exc:
+        raise ConvergenceError(str(exc), estimate=math.log(exc.estimate) + shift,
+                               error_estimate=exc.error_estimate / exc.estimate) from exc
+    return math.log(value) + shift
 
 
 def beta(n: int, w: int, pair: DecoherencePair, *,
          log_tol: float = 1e-13) -> float:
     """Diagonal weight-w coefficient as a plain float (may underflow for huge n).
 
-    Uses a tighter default convergence target than log_beta so that sums
-    of C(n, w) * beta over w stay good to ~1e-12.
+    exp(log_beta), so its relative error is log_tol.  The default is tighter
+    than log_beta's so that sums of C(n, w) * beta over w stay good to
+    ~1e-12.
     """
     return math.exp(log_beta(n, w, pair, log_tol=log_tol))

@@ -51,9 +51,9 @@ class DensityMatrix:
     No upper trace bound is enforced: recovery discards the amplitude that
     leaves the correctable syndrome set (trace < 1), and on degenerate codes
     the term-by-term recovery sum can overshoot 1 -- callers that need a
-    proper state assert it themselves.  Positivity is likewise checked on
-    demand (assert_physical); an eigendecomposition per intermediate would
-    dominate the cost of every pipeline.
+    proper state assert it themselves.  Positivity is not checked: an
+    eigendecomposition per intermediate would dominate the cost of every
+    pipeline.
     """
 
     n: int
@@ -74,11 +74,6 @@ class DensityMatrix:
     @property
     def trace(self) -> float:
         return float(self.entries.trace().real)
-
-    def assert_physical(self, tol: float = 1e-10) -> None:
-        low = float(np.linalg.eigvalsh(self.entries).min())
-        if low < -tol:
-            raise DomainError(f"negative eigenvalue {low}")
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,11 @@
 
 The central object is the average over random CSS pairs of the residual
 error after correcting t dephasing errors: a Gaussian x-integral over the
-binomial tail of the flip weight p_x.  The independent limit, the n -> inf
-asymptote, the noise budget from inverting that asymptote, and the verdict
-for geometry growing as n^y all live here.
+binomial tail of the flip weight p_x.  It has one numerical route:
+adaptive Gauss-Legendre panels (quadrature.integrate) seeded where p_x
+crosses the binomial step, accurate to max(abs_tol, rel_tol * value).  The
+independent limit, the n -> inf asymptote, the noise budget from inverting
+that asymptote, and the verdict for geometry growing as n^y all live here.
 """
 from __future__ import annotations
 
@@ -16,8 +18,8 @@ import numpy as np
 from scipy.special import betainc, erfc, erfcinv
 
 from .bath import BathParams, GammaEstimate, GeometryParams, QuadratureConfig, gamma_detailed
-from .dephasing import DecoherencePair, hermite_nodes_logweights, p_of_x
-from .errors import DomainError
+from .dephasing import DecoherencePair, p_of_x
+from .errors import ConvergenceError, DomainError
 from .quadrature import integrate, uniform_edges
 
 __all__ = [
@@ -65,11 +67,10 @@ def _tail_at(query: ResidualQuery, x: np.ndarray) -> np.ndarray:
     return betainc(query.t + 1, query.n - query.t, p)
 
 
-def _step_knots(query: ResidualQuery, x_max: float) -> list[float]:
-    # the binomial tail switches 0 -> 1 where p_x crosses (t+1)/(n+1); the
-    # crossing repeats with period pi, mirrored inside each period
-    center = (query.t + 1) / (query.n + 1)
-    c = (1.0 - 2.0 * center) * math.exp(query.pair.gamma0 - query.pair.gammaR)
+def _crossings(query: ResidualQuery, level: float, x_max: float) -> list[float]:
+    # x in (0, x_max) where p_x equals level; the crossing repeats with
+    # period pi, mirrored inside each period
+    c = (1.0 - 2.0 * level) * math.exp(query.pair.gamma0 - query.pair.gammaR)
     if abs(c) > 1.0:
         return []
     x0 = 0.5 * math.acos(c)
@@ -83,53 +84,45 @@ def _step_knots(query: ResidualQuery, x_max: float) -> list[float]:
     return sorted(set(knots))
 
 
-def _code_avg_adaptive(query: ResidualQuery, abs_tol: float, rel_tol: float) -> float:
-    gr = query.pair.gammaR
+def code_avg_residual(query: ResidualQuery, *, abs_tol: float = 1e-12,
+                      rel_tol: float = 1e-6) -> float:
+    """Average residual error over random CSS pairs of length n correcting t.
+
+    The Gaussian x-average of the binomial tail I_{p_x}(t+1, n-t), taken on
+    adaptive Gauss-Legendre panels (quadrature.integrate) over
+    0 <= x <= 40 sqrt(Gamma_r) and doubled by symmetry.  The tail steps from
+    0 to 1 where p_x crosses (t+1)/(n+1), over a width dp of one binomial
+    standard deviation; panels are seeded at those crossings (each piece
+    between them split in 8) and at the crossings of the levels 2 dp and
+    8 dp either side, so the error estimate sees the step.  The returned
+    value is within max(abs_tol, rel_tol * value) of the integral by that
+    estimate; ConvergenceError if the panel budget runs out.  The
+    Gamma_r = 0 limit is the independent-noise formula, taken verbatim
+    from independent_residual.
+    """
+    pair = query.pair
+    if pair.gammaR == 0.0:
+        return independent_residual(query.n, query.t, pair.gamma0)
+    gr = pair.gammaR
     x_max = 40.0 * math.sqrt(gr)
-    pieces = [0.0] + _step_knots(query, x_max) + [x_max]
+    center = (query.t + 1) / (query.n + 1)
+    dp = math.sqrt(center * (1.0 - center) / (query.n + 2))
+    pieces = [0.0] + _crossings(query, center, x_max) + [x_max]
+    sides = [x for j in (-8, -2, 2, 8) for x in _crossings(query, center + j * dp, x_max)]
     edges = np.unique(np.concatenate([
         uniform_edges(a, b, max_width=(b - a) / 8.0) for a, b in zip(pieces, pieces[1:])
-    ]))
+    ] + [sides]))
     norm = 1.0 / math.sqrt(math.pi * gr)
 
     def f(x):
         return norm * np.exp(-x * x / gr) * _tail_at(query, x)
 
-    value, _ = integrate(f, edges, abs_tol=0.5 * abs_tol, rel_tol=rel_tol)
+    try:
+        value, _ = integrate(f, edges, abs_tol=0.5 * abs_tol, rel_tol=rel_tol)
+    except ConvergenceError as exc:
+        raise ConvergenceError(str(exc), estimate=2.0 * exc.estimate,
+                               error_estimate=2.0 * exc.error_estimate) from exc
     return 2.0 * value
-
-
-def code_avg_residual(query: ResidualQuery, *, abs_tol: float = 1e-12,
-                      rel_tol: float = 1e-6, max_nodes: int = 8192) -> float:
-    """Average residual error over random CSS pairs of length n correcting t.
-
-    Gauss-Hermite in the correlated coordinate, with node doubling until two
-    consecutive refinements move the value by less than
-    max(abs_tol, rel_tol * value).  When the tail function is too step-like
-    for that to converge, falls back to adaptive panels seeded at the
-    crossing points of p_x through (t+1)/(n+1).  The Gamma_r = 0 limit is the
-    independent-noise formula, taken verbatim from independent_residual.
-    """
-    pair = query.pair
-    if pair.gammaR == 0.0:
-        return independent_residual(query.n, query.t, pair.gamma0)
-    root = math.sqrt(pair.gammaR)
-    inv_sqrt_pi = 1.0 / math.sqrt(math.pi)
-    prev = None
-    streak = 0
-    m = 64
-    while m <= max_nodes:
-        u, logw = hermite_nodes_logweights(m)
-        cur = float(np.sum(np.exp(logw) * _tail_at(query, root * u))) * inv_sqrt_pi
-        if prev is not None and abs(cur - prev) < max(abs_tol, rel_tol * abs(cur)):
-            streak += 1
-            if streak >= 2:
-                return cur
-        elif prev is not None:
-            streak = 0
-        prev = cur
-        m *= 2
-    return _code_avg_adaptive(query, abs_tol, rel_tol)
 
 
 class AsymptoticResidual(NamedTuple):

@@ -1,5 +1,6 @@
 import pytest
 
+from corrqec import cli
 from corrqec.cli import main
 from corrqec.errors import ConvergenceError
 
@@ -223,6 +224,32 @@ def test_jobs_do_not_change_output(tmp_path):
     assert main(["gamma", "--config", cfg, "--out", str(a)]) == 0
     assert main(["gamma", "--config", cfg, "--jobs", "2", "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_jobs_clamped_to_items_and_cores(monkeypatch):
+    # a stand-in pool records the worker count and never starts a process
+    asked = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    assert cli._pmap(abs, [-1, -2, -3, -4, -5], 10_000) == [1, 2, 3, 4, 5]
+    assert cli._pmap(abs, [-1, -2], 10_000) == [1, 2]
+    assert cli._pmap(abs, [-1, -2, -3, -4], 2) == [1, 2, 3, 4]
+    assert cli._pmap(abs, [-1], 10_000) == [1]
+    assert asked == [3, 2, 2]
 
 
 def test_nonconvergence_exits_two(capsys, monkeypatch):

@@ -205,6 +205,49 @@ def test_log_beta_matches_direct_log():
         assert abs(log_beta(n, w, pair) - direct) < 1e-8
 
 
+def log_trapezoid_beta(n: int, w: int, g0: float, gr: float) -> float:
+    """log beta_w by a dense uniform trapezoid over the whole line, log-sum-exp.
+
+    The integrand is entire, so the trapezoid converges geometrically once
+    the grid step resolves the Gaussian and the flip-factor peak.  Beyond
+    sqrt(gr (80 - phi(x0))) the Gaussian factor alone is below e^-80 of the
+    integrand at x0, since the flip factor never exceeds 1.
+    """
+    g = g0 - gr
+
+    def phi(x):
+        with np.errstate(divide="ignore"):
+            lp = np.log(0.5 * (-math.expm1(-g) + 2.0 * math.exp(-g) * np.sin(x) ** 2))
+            l1p = np.log(0.5 * (-math.expm1(-g) + 2.0 * math.exp(-g) * np.cos(x) ** 2))
+        return -x * x / gr + (w * lp if w else 0.0) + ((n - w) * l1p if w < n else 0.0)
+
+    lim = math.sqrt(gr * (80.0 - float(phi(np.array(math.sqrt(gr))))))
+    h = min(0.05 / math.sqrt(n), math.sqrt(gr) / 100.0)
+    x = np.linspace(-lim, lim, 2 * math.ceil(lim / h) + 1)
+    terms = phi(x) + math.log(x[1] - x[0]) - 0.5 * math.log(math.pi * gr)
+    top = terms.max()
+    return float(top + math.log(np.exp(terms - top).sum()))
+
+
+@pytest.mark.parametrize("n,w,g0,gr", [
+    (6940, 334, 0.7579615419173465, 0.4849643875081321),
+    (3542, 2325, 0.20353001417462097, 0.10834823589623425),
+    (200, 20, 0.05, 0.05),  # gamma0 == gammaR: p_x = 0 at x = 0
+    (60, 30, 0.9, 0.7),
+])
+def test_log_beta_matches_log_trapezoid(n, w, g0, gr):
+    got = log_beta(n, w, DecoherencePair(g0, gr))
+    assert abs(got - log_trapezoid_beta(n, w, g0, gr)) < 1e-8
+
+
+def test_log_beta_tiny_gamma_r_meets_closed_form():
+    # the gammaR = 0 closed form, -26.9903785043721
+    p_o = -0.5 * math.expm1(-0.01)
+    closed = 5 * math.log(p_o) + 95 * math.log1p(-p_o)
+    got = log_beta(100, 5, DecoherencePair(0.01, 1e-12))
+    assert abs(got - closed) < 1e-8
+
+
 def test_log_beta_deep_tail():
     # far beyond double-precision underflow for the plain value
     val = log_beta(5000, 2400, DecoherencePair(0.01, 0.004))

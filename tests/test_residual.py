@@ -1,7 +1,11 @@
+import importlib.util
 import math
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
+from scipy.special import betainc
 
 from corrqec import (
     DecoherencePair,
@@ -124,6 +128,57 @@ def test_code_avg_deviation_from_asymptote_shrinks():
         devs.append(abs(code_avg_residual(ResidualQuery(n, t, FIG_PAIR)) - asym))
     for a, b in zip(devs, devs[1:]):
         assert b < a
+
+
+def trapezoid_code_avg(n: int, t: int, g0: float, gr: float) -> float:
+    """Gaussian average of I_{p_x}(t+1, n-t) by a dense uniform trapezoid.
+
+    The integrand is even and entire, so the trapezoid over [0, 8 sqrt(gr)]
+    with half weight at 0 converges geometrically once the step resolves
+    the Gaussian and the binomial step, whose width in x is at least
+    dp e^(g0 - gr) with dp one binomial standard deviation of p.
+    """
+    g = g0 - gr
+    center = (t + 1) / (n + 1)
+    dp = math.sqrt(center * (1.0 - center) / (n + 2))
+    lim = 8.0 * math.sqrt(gr)
+    m = math.ceil(lim / min(math.sqrt(gr) / 40.0, dp * math.exp(g) / 20.0, 0.01))
+    x = np.linspace(0.0, lim, m + 1)
+    p = 0.5 * (-math.expm1(-g) + 2.0 * math.exp(-g) * np.sin(x) ** 2)
+    f = np.exp(-x * x / gr) * betainc(t + 1, n - t, p)
+    f[0] *= 0.5
+    return float(2.0 * (x[1] - x[0]) * f.sum() / math.sqrt(math.pi * gr))
+
+
+@pytest.mark.parametrize("n,t,g0,gr", [
+    (1000000, 19999, 0.0856448, 0.0436722),
+    (26008, 2600, 0.19356779456090945, 0.10519023730649839),
+    # p_x never reaches (t+1)/(n+1), but the tail dips near x = k pi
+    (1718, 33, 0.18135660867605868, 0.11626814333774495),
+    (4000, 199, 0.01, 0.01),
+])
+def test_code_avg_matches_dense_trapezoid(n, t, g0, gr):
+    got = code_avg_residual(ResidualQuery(n, t, DecoherencePair(g0, gr)))
+    assert got == pytest.approx(trapezoid_code_avg(n, t, g0, gr), rel=1e-6, abs=1e-12)
+
+
+def load_region_script():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "asymptote_region_oracle.py"
+    spec = importlib.util.spec_from_file_location("asymptote_region_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("q,expect", [(0.01, 1.0), (0.05, None), (0.9, 0.0)])
+def test_region_script_matches_asymptote(q, expect):
+    # q = 0.01 lies below every p_x (whole line), q = 0.9 above every p_x
+    pair = DecoherencePair(0.5, 0.1)
+    mass = load_region_script().region_mass(q, pair.gamma0, pair.gammaR)
+    lib = asymptotic_residual(q, pair).exact
+    assert mass == pytest.approx(lib, rel=1e-9)
+    if expect is not None:
+        assert mass == expect
 
 
 def test_asymptote_matches_region_oracle():
