@@ -7,55 +7,15 @@ simulation), residual (code-averaged error, asymptotics, scalability),
 cli (deterministic CSV scans).
 """
 
-from .errors import ConvergenceError, DomainError, SizeLimitError
-from .bath import (
-    BathParams, GeometryParams, QuadratureConfig, GammaEstimate,
-    spectral_density, decoherence_integrand, gamma, gamma_detailed,
-    gamma_pair, scaled_gamma, scaling_identity_sides,
-)
-from .dephasing import (
-    DecoherencePair, BitString, AlphaMatrix, coefficient_c, apply_channel,
-    alpha_matrix, p_of_x, beta, log_beta, walsh_transform,
-)
-from .codes import (
-    LinearCode, CssCodePair, CodeBasisState, h2, r_css, dual, min_weight,
-    weight_distribution, macwilliams_transform, sample_random_css,
-    empirical_goodness, meets_rate_bound, steane_code, codewords,
-    coset_representatives, save_code_pair, load_code_pair,
-)
-from .oracle import (
-    PureState, DensityMatrix, PauliLabel, encode, apply_recovery,
-    fidelity_formula, residual_exact, x_polarized_state, random_state,
-    correction_labels,
-)
-from .residual import (
-    ResidualQuery, ScalingScenario, GammaBudget, AsymptoticResidual,
-    ScalabilityRow, ScalabilityReport, code_avg_residual,
-    independent_residual, asymptotic_residual, gamma_budget,
-    scalability_verdict, geometric_grid,
-)
+from . import bath, codes, dephasing, errors, oracle, residual
+from .errors import *
+from .bath import *
+from .dephasing import *
+from .codes import *
+from .oracle import *
+from .residual import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConvergenceError", "DomainError", "SizeLimitError",
-    "BathParams", "GeometryParams", "QuadratureConfig", "GammaEstimate",
-    "spectral_density", "decoherence_integrand", "gamma", "gamma_detailed",
-    "gamma_pair", "scaled_gamma", "scaling_identity_sides",
-    "DecoherencePair", "BitString", "AlphaMatrix", "coefficient_c",
-    "apply_channel", "alpha_matrix", "p_of_x", "beta", "log_beta",
-    "walsh_transform",
-    "LinearCode", "CssCodePair", "CodeBasisState", "h2", "r_css", "dual",
-    "min_weight", "weight_distribution", "macwilliams_transform",
-    "sample_random_css", "empirical_goodness", "meets_rate_bound",
-    "steane_code", "codewords", "coset_representatives", "save_code_pair",
-    "load_code_pair",
-    "PureState", "DensityMatrix", "PauliLabel", "encode", "apply_recovery",
-    "fidelity_formula", "residual_exact", "x_polarized_state", "random_state",
-    "correction_labels",
-    "ResidualQuery", "ScalingScenario", "GammaBudget", "AsymptoticResidual",
-    "ScalabilityRow", "ScalabilityReport", "code_avg_residual",
-    "independent_residual", "asymptotic_residual", "gamma_budget",
-    "scalability_verdict", "geometric_grid",
-    "__version__",
-]
+__all__ = [*errors.__all__, *bath.__all__, *dephasing.__all__, *codes.__all__,
+           *oracle.__all__, *residual.__all__, "__version__"]

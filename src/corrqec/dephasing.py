@@ -14,13 +14,14 @@ in absolute log-space error.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bitops import index_weights, popcount
-from .errors import ConvergenceError, DomainError, SizeLimitError
+from .bitops import index_weights
+from .errors import ConvergenceError, DomainError, check_dense_bytes
 from .quadrature import integrate, uniform_edges
 
 __all__ = [
@@ -108,6 +109,18 @@ def _as_matrix(rho):
     return np.asarray(rho), False
 
 
+def _pair_decay(n: int, pair: DecoherencePair, rows: np.ndarray) -> np.ndarray:
+    # exp(-C[rows, :]) of the equal-distance channel: C depends only on the
+    # flip count |eta xor mu| and the weight difference, so exp is taken once
+    # per (flips, dw) pair and looked up
+    flips = np.arange(n + 1)[:, None]
+    dw = np.arange(-n, n + 1)[None, :]
+    table = np.exp(-((pair.gamma0 - pair.gammaR) * flips + pair.gammaR * dw * dw))
+    w = index_weights(n)
+    return table[np.bitwise_count(rows[:, None] ^ np.arange(1 << n)),
+                 (w[rows] + n)[:, None] - w]
+
+
 def apply_channel(rho, pair: DecoherencePair | None = None, *,
                   gamma_matrix=None):
     """Elementwise decay exp(-C[eta, mu]) of a density matrix.
@@ -116,65 +129,84 @@ def apply_channel(rho, pair: DecoherencePair | None = None, *,
     symmetric per-qubit-pair matrix gamma_matrix[l, m] may be supplied;
     the latter builds C = sum_lm (eta_l - mu_l)(eta_m - mu_m) Gamma_lm.
     Accepts a bare ndarray or any object with .n/.entries and returns the
-    same kind.  Coefficients are generated in row blocks, never as a full
-    4^n table.
+    same kind.  The map is elementwise, so exp(-C) is formed only on the
+    rows where rho has a nonzero entry (an encoded state has 2^dim(C1) of
+    them); every other output row is rho's exact zero.  Columns are not
+    restricted: gathering and scattering a column subset costs more than
+    the exp it would save.  Both coefficient routes are table lookups,
+    generated in row blocks, never as a full 4^n table, and the output
+    must fit the dense byte budget (n <= 12).
     """
     ent, wrapped = _as_matrix(rho)
     dim = ent.shape[0]
     if ent.ndim != 2 or ent.shape[1] != dim or dim & (dim - 1) or dim == 0:
         raise DomainError("density matrix must be square with power-of-two size")
     n = dim.bit_length() - 1
-    if n > 14:
-        raise SizeLimitError(f"{n} qubits exceeds the 14-qubit dense limit")
+    check_dense_bytes(dim, 16, "apply_channel")
     if (pair is None) == (gamma_matrix is None):
         raise DomainError("supply exactly one of pair and gamma_matrix")
 
-    idx = np.arange(dim, dtype=np.uint64)
-    out = np.empty_like(ent, dtype=complex)
-    block = max(1, (1 << 22) // dim)
     if pair is not None:
-        dg = pair.gamma0 - pair.gammaR
-        w = index_weights(n)
-        for i0 in range(0, dim, block):
-            rows = idx[i0:i0 + block]
-            flips = popcount(rows[:, None] ^ idx[None, :])
-            dw = w[i0:i0 + block, None] - w[None, :]
-            out[i0:i0 + block] = ent[i0:i0 + block] * np.exp(
-                -(dg * flips + pair.gammaR * dw * dw))
+        decay = functools.partial(_pair_decay, n, pair)
     else:
         G = np.asarray(gamma_matrix, dtype=float)
         if G.shape != (n, n):
             raise DomainError(f"gamma_matrix must be {n}x{n}")
         G = 0.5 * (G + G.T)
-        bits = ((np.arange(dim)[:, None] >> np.arange(n)) & 1).astype(float)
-        BG = bits @ G
-        quad = np.einsum("ij,ij->i", BG, bits)
-        for i0 in range(0, dim, block):
-            cross = BG[i0:i0 + block] @ bits.T
-            C = quad[i0:i0 + block, None] + quad[None, :] - 2.0 * cross
-            out[i0:i0 + block] = ent[i0:i0 + block] * np.exp(-C)
+        # C depends only on d = eta - mu in {-1, 0, 1}^n, so exp(-d^T G d) is
+        # tabulated over the 3^n keys sum_l (d_l + 1) 3^l (digit l on grid
+        # axis n-1-l); the key of (eta, mu) is tern[eta] - tern[mu] + (3^n-1)/2
+        d = [np.array([-1.0, 0.0, 1.0]).reshape((3,) + (1,) * l) for l in range(n)]
+        quad = np.zeros(1)
+        for l in range(n):
+            quad = quad + d[l] * (G[l, l] * d[l]
+                                  + 2.0 * sum(G[l, m] * d[m] for m in range(l)))
+        table = np.exp(-quad).ravel()
+        tern = ((np.arange(dim)[:, None] >> np.arange(n)) & 1) @ 3 ** np.arange(n)
+        offset = (3 ** n - 1) // 2
+
+        def decay(rows):
+            return table[tern[rows, None] - tern + offset]
+
+    rows = np.flatnonzero(ent.any(axis=1))
+    out = np.zeros((dim, dim), dtype=complex)
+    block = max(1, (1 << 22) // dim)
+    for i0 in range(0, rows.size, block):
+        sub = rows[i0:i0 + block]
+        out[sub] = ent[sub] * decay(sub)
 
     if wrapped:
         return type(rho)(n=rho.n, entries=out)
     return out
 
 
+@functools.lru_cache(maxsize=16)
+def _sylvester(m: int) -> np.ndarray:
+    # the m x m +-1 Walsh kernel, (-1)^popcount(k & j)
+    j = np.arange(m)
+    h = 1.0 - 2.0 * (np.bitwise_count(j[:, None] & j[None, :]) & 1)
+    h.flags.writeable = False
+    return h
+
+
 def walsh_transform(vec: np.ndarray) -> np.ndarray:
-    """Unnormalized Walsh transform y[k] = sum_j (-1)^(k.j) x[j] over the last axis."""
-    a = np.array(vec, dtype=float, copy=True)
+    """Unnormalized Walsh transform y[k] = sum_j (-1)^(k.j) x[j] over the last axis.
+
+    With m = hi * lo (hi = 2^floor(p/2), lo = 2^ceil(p/2) for m = 2^p), the
+    kernel factors as H_m = H_hi (x) H_lo, because the high and low bits of
+    k & j contribute separate signs.  So the transform is two dense
+    products on the (..., hi, lo) view, X H_lo and then H_hi X, with
+    sqrt(m)-sized factors (32 x 32 at m = 2^10); the input is never
+    modified, and a non-contiguous one is copied once.
+    """
+    a = np.asarray(vec, dtype=float)
     m = a.shape[-1]
     if m & (m - 1) or m == 0:
         raise DomainError("length must be a power of two")
-    h = 1
-    lead = a.shape[:-1]
-    while h < m:
-        b = a.reshape(*lead, m // (2 * h), 2, h)
-        x = b[..., 0, :].copy()
-        y = b[..., 1, :]
-        b[..., 0, :] = x + y
-        b[..., 1, :] = x - y
-        h *= 2
-    return a
+    p = m.bit_length() - 1
+    hi, lo = 1 << (p // 2), 1 << (p - p // 2)
+    x = np.ascontiguousarray(a).reshape(-1, lo) @ _sylvester(lo)
+    return (_sylvester(hi) @ x.reshape(-1, hi, lo)).reshape(a.shape)
 
 
 @dataclass(frozen=True)
@@ -191,23 +223,21 @@ class AlphaMatrix:
 
 
 def alpha_matrix(n: int, pair: DecoherencePair) -> AlphaMatrix:
-    """Two-sided Walsh transform of exp(-C), scaled by 4^-n."""
+    """Two-sided Walsh transform of exp(-C), scaled by 4^-n.
+
+    exp(-C) is symmetric, so H (exp(-C) H) is the Walsh transform of the
+    transposed one-sided result; both passes run along contiguous rows.
+    The real 2^n x 2^n result must fit the dense byte budget (n <= 12).
+    """
     if n < 1:
         raise DomainError("need n >= 1")
-    if n > 12:
-        raise SizeLimitError(f"alpha matrix for n={n} exceeds the 4^12 memory cap")
     dim = 1 << n
-    w = index_weights(n)
-    idx = np.arange(dim, dtype=np.uint64)
+    check_dense_bytes(dim, 8, "alpha_matrix")
     M = np.empty((dim, dim))
-    dg = pair.gamma0 - pair.gammaR
     block = max(1, (1 << 22) // dim)
     for i0 in range(0, dim, block):
-        flips = popcount(idx[i0:i0 + block, None] ^ idx[None, :])
-        dw = w[i0:i0 + block, None] - w[None, :]
-        M[i0:i0 + block] = np.exp(-(dg * flips + pair.gammaR * dw * dw))
-    M = walsh_transform(M)
-    M = walsh_transform(M.T).T
+        M[i0:i0 + block] = _pair_decay(n, pair, np.arange(i0, min(i0 + block, dim)))
+    M = walsh_transform(walsh_transform(M).T)
     M *= 0.25 ** n
     return AlphaMatrix(n, M)
 

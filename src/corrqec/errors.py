@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the dense-matrix byte budget."""
+
+__all__ = ["ConvergenceError", "DomainError", "SizeLimitError"]
+
+DENSE_BYTES = 1 << 28
 
 
 class DomainError(ValueError):
@@ -21,3 +25,14 @@ class ConvergenceError(RuntimeError):
 
 class SizeLimitError(ValueError):
     """Raised when an exact enumeration would exceed its hard size cap."""
+
+
+def check_dense_bytes(dim: int, itemsize: int, what: str) -> None:
+    """SizeLimitError unless a dim x dim matrix of itemsize-byte entries fits DENSE_BYTES.
+
+    Called before the matrix is allocated; 2^28 bytes allow complex matrices
+    (and real ones) up to n = 12 qubits.
+    """
+    if dim * dim * itemsize > DENSE_BYTES:
+        raise SizeLimitError(f"{what}: a {dim} x {dim} matrix of {itemsize}-byte entries "
+                             f"exceeds the {DENSE_BYTES}-byte dense budget")

@@ -1,8 +1,13 @@
 """Exact small-n simulation: encode, dephase, recover, and score fidelity.
 
-This module is the ground-truth side of every cross-check.  Everything is
-dense linear algebra on 2^n amplitude vectors; the design envelope is n <= 10
-for full pipelines, so clarity wins over cleverness throughout.
+This module is the ground-truth side of every cross-check.  States and
+density matrices are dense 2^n objects (full pipelines up to n = 10, any
+dense matrix within the 2^28-byte budget), but the kernels only compute
+where their result can be nonzero: an encoded state lives on the
+2^dim(C1) indices of C1, recovery reads only the C1 x C1 block through the
+isometry, and the channel decays only the rows where its input is nonzero.
+Each restriction skips exact zeros only, so results equal the full-index
+computation up to rounding.
 """
 from __future__ import annotations
 
@@ -14,7 +19,7 @@ import numpy as np
 from .bitops import index_weights
 from .codes import CssCodePair, codewords
 from .dephasing import AlphaMatrix, BitString, DecoherencePair, apply_channel, walsh_transform
-from .errors import DomainError, SizeLimitError
+from .errors import DomainError, SizeLimitError, check_dense_bytes
 
 __all__ = [
     "PureState", "DensityMatrix", "PauliLabel", "encode", "apply_recovery",
@@ -41,6 +46,7 @@ class PureState:
         object.__setattr__(self, "amplitudes", amps)
 
     def to_density(self) -> "DensityMatrix":
+        check_dense_bytes(1 << self.n, 16, "to_density")
         return DensityMatrix(self.n, np.outer(self.amplitudes, self.amplitudes.conj()))
 
 
@@ -48,12 +54,16 @@ class PureState:
 class DensityMatrix:
     """Hermitian 2^n x 2^n state, possibly subnormalized.
 
-    No upper trace bound is enforced: recovery discards the amplitude that
-    leaves the correctable syndrome set (trace < 1), and on degenerate codes
-    the term-by-term recovery sum can overshoot 1 -- callers that need a
-    proper state assert it themselves.  Positivity is not checked: an
-    eigendecomposition per intermediate would dominate the cost of every
-    pipeline.
+    Hermiticity is checked as max |M - M^H| <= 1e-10, one 64-row strip at a
+    time against the matching column strip, from the strip's diagonal block
+    rightwards: |M - M^H| is symmetric, so this visits every pair (i, j) and
+    takes exactly the full-matrix maximum, while each compared piece stays
+    in cache.  No upper trace bound is enforced: recovery discards the
+    amplitude that leaves the correctable syndrome set (trace < 1), and on
+    degenerate codes the term-by-term recovery sum can overshoot 1 -- callers
+    that need a proper state assert it themselves.  Positivity is not
+    checked: an eigendecomposition per intermediate would dominate the cost
+    of every pipeline.
     """
 
     n: int
@@ -64,7 +74,9 @@ class DensityMatrix:
         dim = 1 << self.n
         if mat.shape != (dim, dim):
             raise DomainError(f"expected shape ({dim}, {dim}), got {mat.shape}")
-        if np.abs(mat - mat.conj().T).max() > 1e-10:
+        strips = [np.abs(mat[i:i + 64, i:] - mat[i:, i:i + 64].conj().T).max()
+                  for i in range(0, dim, 64)]
+        if np.max(strips) > 1e-10:
             raise DomainError("matrix is not Hermitian")
         tr = mat.trace()
         if abs(tr.imag) > 1e-12 or tr.real < -1e-12:
@@ -123,25 +135,32 @@ def apply_recovery(rho: DensityMatrix, pair: CssCodePair) -> DensityMatrix:
     The nu sum is applied first: sum_nu Z_nu rho Z_nu multiplies entry (y, y')
     by g[y xor y'] where g is the Walsh transform of the weight-<=t indicator.
     Each mu term is then an index permutation followed by the code-space
-    sandwich through the isometry V, so the cost is |{mu}| dense products
-    instead of |{mu}| x |{nu}|.
+    sandwich through the isometry V.  V vanishes off the support S = C1,
+    so only the S x S block of each permuted term, rho[S xor mu, S xor mu],
+    is read, and g is needed on S xor S (inside C1) only:
+
+        acc = V_S^T ((sum_mu rho[S xor mu, S xor mu]) o g[S xor S]) V_S,
+
+    and the output is V_S acc V_S^T on S x S and exactly zero elsewhere.
+    This is exact for any rho, code state or not; the cost is |{mu}|
+    gathers of 2^dim(C1)-square blocks instead of 2^n-square products.
     """
     if rho.n != pair.n:
         raise DomainError("state and code length differ")
     if pair.n > _PIPELINE_CAP:
         raise SizeLimitError(f"recovery is capped at n = {_PIPELINE_CAP}")
-    dim = 1 << pair.n
-    idx = np.arange(dim)
-    mask = (index_weights(pair.n) <= pair.t).astype(float)
-    g = walsh_transform(mask)
-    masked = rho.entries * g[idx[:, None] ^ idx[None, :]]
-    v = _isometry(pair)
-    acc = np.zeros((v.shape[1], v.shape[1]), dtype=complex)
-    for mu in np.nonzero(mask)[0]:
-        perm = idx ^ mu
-        block = masked[np.ix_(perm, perm)]
-        acc += v.T @ (block @ v)
-    return DensityMatrix(pair.n, v @ acc @ v.T)
+    support = pair.c1.codeword_array().astype(np.intp)
+    v = _isometry(pair)[support]
+    mask = index_weights(pair.n) <= pair.t
+    g = walsh_transform(mask.astype(float))
+    block = np.zeros((support.size, support.size), dtype=complex)
+    for mu in np.flatnonzero(mask):
+        shifted = support ^ mu
+        block += rho.entries[np.ix_(shifted, shifted)]
+    acc = v.T @ (block * g[support[:, None] ^ support[None, :]]) @ v
+    out = np.zeros_like(rho.entries)
+    out[np.ix_(support, support)] = v @ acc @ v.T
+    return DensityMatrix(pair.n, out)
 
 
 def fidelity_formula(psi: PureState, alpha: AlphaMatrix, pair: CssCodePair) -> float:

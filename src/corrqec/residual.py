@@ -26,8 +26,7 @@ __all__ = [
     "ResidualQuery", "ScalingScenario", "GammaBudget", "AsymptoticResidual",
     "ScalabilityRow", "ScalabilityReport", "code_avg_residual",
     "independent_residual", "asymptotic_residual", "gamma_budget",
-    "scalability_row", "scalability_summary", "scalability_verdict",
-    "geometric_grid",
+    "scalability_verdict", "geometric_grid",
 ]
 
 

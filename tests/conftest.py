@@ -24,6 +24,13 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(1234)
 
 
+def random_density(n: int, rng: np.random.Generator) -> np.ndarray:
+    dim = 1 << n
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = m @ m.conj().T
+    return rho / np.trace(rho).real
+
+
 def toy_pair_t0() -> cq.CssCodePair:
     """[3, 1] pair with d = 2, t = 0: C1 = even-weight code, C2 = {000, 110}."""
     c1 = cq.dual(cq.LinearCode.from_rows(3, [0b111]))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,19 +13,16 @@ from corrqec import (
     apply_channel,
     beta,
     coefficient_c,
+    encode,
     log_beta,
     p_of_x,
+    random_state,
+    sample_random_css,
     walsh_transform,
 )
 from corrqec.bitops import index_weights
-from corrqec.errors import DomainError
-
-
-def random_density(n: int, rng: np.random.Generator) -> np.ndarray:
-    dim = 1 << n
-    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = m @ m.conj().T
-    return rho / np.trace(rho).real
+from corrqec.errors import DomainError, SizeLimitError
+from conftest import random_density
 
 
 def test_pair_validation():
@@ -103,6 +101,64 @@ def test_channel_argument_exclusivity(rng):
         apply_channel(rho)
     with pytest.raises(DomainError):
         apply_channel(rho, DecoherencePair(0.1, 0.0), gamma_matrix=np.eye(1))
+
+
+def _decay_table(n: int, pair=None, gamma_matrix=None) -> np.ndarray:
+    # exp(-C[eta, mu]) entry by entry, from coefficient_c or the sum over (l, m)
+    dim = 1 << n
+    out = np.empty((dim, dim))
+    for eta in range(dim):
+        for mu in range(dim):
+            if pair is not None:
+                c = coefficient_c(BitString(n, eta), BitString(n, mu), pair)
+            else:
+                d = [((eta >> j) & 1) - ((mu >> j) & 1) for j in range(n)]
+                c = sum(d[l] * d[m] * gamma_matrix[l, m]
+                        for l in range(n) for m in range(n))
+            out[eta, mu] = math.exp(-c)
+    return out
+
+
+def test_channel_matches_elementwise_route(rng):
+    """Sparse, full and row/column-mismatched supports, in both branches."""
+    pair = DecoherencePair(0.2, 0.07)
+    for n, k in ((5, 1), (6, 2)):
+        G = rng.uniform(0.0, 0.2, size=(n, n))
+        G = G + G.T + np.diag(rng.uniform(0.3, 0.5, size=n))
+        code = sample_random_css(n, k, rng)
+        sparse = encode(random_state(k, rng).amplitudes, code).to_density()
+        full = random_density(n, rng)
+        skew = rng.normal(size=(1 << n, 1 << n)) + 1j * rng.normal(size=(1 << n, 1 << n))
+        skew[3] = 0.0  # row 3 is zero, column 3 is not
+        skew[:, 5] = 0.0  # column 5 is zero, row 5 is not
+        for kw, ref in (({"pair": pair}, _decay_table(n, pair=pair)),
+                        ({"gamma_matrix": G}, _decay_table(n, gamma_matrix=G))):
+            out = apply_channel(sparse, **kw)
+            assert type(out) is type(sparse)
+            assert np.allclose(out.entries, sparse.entries * ref, rtol=1e-13, atol=0.0)
+            assert np.array_equal(out.entries == 0, sparse.entries == 0)
+            assert np.allclose(apply_channel(full, **kw), full * ref, rtol=1e-13, atol=0.0)
+            got = apply_channel(skew, **kw)
+            assert np.allclose(got, skew * ref, rtol=1e-13, atol=0.0)
+            assert not got[3].any() and not got[:, 5].any()
+
+
+def test_channel_checks_bytes_before_allocating():
+    # a zero-stride view: 2^13 x 2^13 entries that occupy one element
+    huge = np.broadcast_to(np.zeros(1, dtype=complex), (1 << 13, 1 << 13))
+    with pytest.raises(SizeLimitError):
+        apply_channel(huge, DecoherencePair(0.1, 0.0))
+
+
+def test_alpha_checks_bytes_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeLimitError):
+            alpha_matrix(13, DecoherencePair(0.1, 0.05))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_alpha_single_qubit_closed_form():
@@ -263,6 +319,21 @@ def test_log_beta_deterministic():
 def test_walsh_transform_involution(rng):
     v = rng.normal(size=16)
     assert np.allclose(walsh_transform(walsh_transform(v)), 16 * v, atol=1e-12)
+
+
+def test_walsh_transform_matches_explicit_matrix(rng):
+    for p in range(12):
+        m = 1 << p
+        j = np.arange(m)
+        H = 1.0 - 2.0 * (np.bitwise_count(j[:, None] & j[None, :]) & 1)
+        vec = rng.normal(size=m)
+        rows = rng.normal(size=(3, m))
+        cols = rng.normal(size=(m, 3)).T  # non-contiguous rows
+        tol = 1e-13 * m
+        assert np.abs(walsh_transform(vec) - H @ vec).max() < tol
+        assert np.abs(walsh_transform(rows) - rows @ H).max() < tol
+        assert np.abs(walsh_transform(cols) - cols @ H).max() < tol
+        assert walsh_transform(cols).shape == (3, m)
 
 
 def test_walsh_transform_requires_power_of_two():

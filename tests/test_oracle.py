@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,10 +20,12 @@ from corrqec import (
     fidelity_formula,
     random_state,
     residual_exact,
+    sample_random_css,
     x_polarized_state,
 )
-from corrqec.errors import DomainError
-from conftest import toy_pair_t0
+from corrqec.bitops import index_weights
+from corrqec.errors import DomainError, SizeLimitError
+from conftest import random_density, toy_pair_t0
 
 
 def z_flip(state: PureState, qubit: int) -> DensityMatrix:
@@ -31,6 +34,54 @@ def z_flip(state: PureState, qubit: int) -> DensityMatrix:
     amps = np.where((idx >> qubit) & 1, -amps, amps)
     flipped = PureState(state.n, amps)
     return flipped.to_density()
+
+
+def _dense_recovery(rho: np.ndarray, pair: CssCodePair) -> np.ndarray:
+    """Reference recovery over the whole 2^n index space, every mu term.
+
+    The Z-sum mask g[v] = sum over |nu| <= t of (-1)^(v . nu) is built term
+    by term, independently of walsh_transform.
+    """
+    dim = 1 << pair.n
+    idx = np.arange(dim)
+    low = np.flatnonzero(index_weights(pair.n) <= pair.t)
+    parity = np.bitwise_count(idx[:, None] & low[None, :]) & 1
+    g = (1.0 - 2.0 * parity).sum(axis=1)
+    masked = rho * g[idx[:, None] ^ idx[None, :]]
+    v = np.column_stack([st.amplitudes for st in codewords(pair)])
+    acc = np.zeros((v.shape[1], v.shape[1]), dtype=complex)
+    for mu in low:
+        perm = idx ^ mu
+        acc += v.T @ (masked[np.ix_(perm, perm)] @ v)
+    return v @ acc @ v.T
+
+
+def _recovery_pairs(steane) -> list[CssCodePair]:
+    rng = np.random.default_rng(808)
+    pairs = [steane, toy_pair_t0()]
+    while len(pairs) < 4:
+        code = sample_random_css(8, 1, rng)
+        if code.t >= 1:
+            pairs.append(code)
+    return pairs
+
+
+def test_recovery_matches_dense_reference(steane, rng):
+    """apply_recovery reads only the C1 support; the full 2^n route must agree."""
+    for pair in _recovery_pairs(steane):
+        n = pair.n
+        psi = encode(random_state(pair.k, rng).amplitudes, pair)
+        idx = np.arange(1 << n)
+        inputs = [
+            apply_channel(psi.to_density(), DecoherencePair(0.3, 0.1)).entries,
+            random_density(n, rng),
+        ]
+        # X-flipped code states: their support lies off C1
+        for x in (1, 1 << (n - 1), 0b11):
+            inputs.append(PureState(n, psi.amplitudes[idx ^ x]).to_density().entries)
+        for rho in inputs:
+            got = apply_recovery(DensityMatrix(n, rho), pair).entries
+            assert np.abs(got - _dense_recovery(rho, pair)).max() < 1e-14
 
 
 def test_pure_state_norm_enforced():
@@ -43,6 +94,33 @@ def test_density_hermiticity_enforced():
     bad = np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex)
     with pytest.raises(DomainError):
         DensityMatrix(1, bad)
+
+
+@pytest.mark.parametrize("entry", [(200, 10), (63, 64), (64, 63), (255, 0), (0, 255),
+                                   (255, 200)])
+def test_density_hermiticity_enforced_at_dim_256(entry, rng):
+    rho = random_density(8, rng)
+    DensityMatrix(8, rho)
+    bad = rho.copy()
+    bad[entry] += 1e-9j
+    with pytest.raises(DomainError):
+        DensityMatrix(8, bad)
+    near = rho.copy()
+    near[entry] += 1e-11j
+    DensityMatrix(8, near)
+
+
+def test_to_density_checks_bytes_before_allocating():
+    state = x_polarized_state(13)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeLimitError):
+            state.to_density()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert x_polarized_state(12).n == 12
 
 
 def test_encode_steane_logical_zero(steane):
