@@ -6,9 +6,12 @@ adaptive machinery at all, as an independent cross-check of the library
 quadrature.  The integrand here is written out from scratch on purpose;
 do not refactor it to call into corrqec.
 
-Reference point: A=1, s=1, Omega=10, T=1, r=0, tau=5, integrated on
-[0, 40*Omega].  The exact omega -> 0 limit of the integrand is
+Reference point: A=1, s=1, Omega=10, T=1, r=0, tau=5 (or --tau), integrated
+on [0, 40*Omega].  The exact omega -> 0 limit of the integrand is
 tau^2 * T (the 1-cos factor cancels one power, coth supplies 2T/omega).
+The trapezoid error is about h^2/12 * tau^2 T/Omega (Euler-Maclaurin, from
+the slope -tau^2 T/Omega at omega = 0): below 1e-9 relative at the default
+points for tau up to 100.
 """
 
 import argparse
@@ -20,18 +23,17 @@ A = 1.0
 S = 1.0
 OMEGA = 10.0
 TEMP = 1.0
-TAU = 5.0
 
 
-def integrand(w: np.ndarray) -> np.ndarray:
+def integrand(w: np.ndarray, tau: float) -> np.ndarray:
     # s=1, r=0: A * (1 - cos(w*tau)) / w * coth(w / 2T) * exp(-w / Omega)
     out = np.empty_like(w)
     zero = w == 0.0
-    out[zero] = TAU * TAU * TEMP
+    out[zero] = tau * tau * TEMP
     ww = w[~zero]
     out[~zero] = (
         A
-        * (1.0 - np.cos(ww * TAU))
+        * (1.0 - np.cos(ww * tau))
         / ww
         / np.tanh(ww / (2.0 * TEMP))
         * np.exp(-ww / OMEGA)
@@ -39,7 +41,7 @@ def integrand(w: np.ndarray) -> np.ndarray:
     return out
 
 
-def trapezoid(points: int, upper: float) -> float:
+def trapezoid(points: int, upper: float, tau: float) -> float:
     h = upper / (points - 1)
     chunk = 1_000_000
     partial = []
@@ -47,7 +49,7 @@ def trapezoid(points: int, upper: float) -> float:
         stop = min(start + chunk, points)
         w = start + np.arange(stop - start, dtype=np.float64)
         w *= h
-        vals = integrand(w)
+        vals = integrand(w, tau)
         if start == 0:
             vals[0] *= 0.5
         if stop == points:
@@ -59,17 +61,18 @@ def trapezoid(points: int, upper: float) -> float:
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--points", type=int, default=10_000_000)
+    ap.add_argument("--tau", type=float, default=5.0)
     args = ap.parse_args()
 
     upper = 40.0 * OMEGA
-    value = trapezoid(args.points, upper)
-    print(f"trapezoid ({args.points} points on [0, {upper:g}]): {value!r}")
+    value = trapezoid(args.points, upper, args.tau)
+    print(f"trapezoid ({args.points} points on [0, {upper:g}], tau={args.tau:g}): {value!r}")
 
     try:
         from corrqec import BathParams, GeometryParams, gamma
     except ImportError:
         return
-    lib = gamma(BathParams(A, S, OMEGA, TEMP), GeometryParams(0.0, TAU))
+    lib = gamma(BathParams(A, S, OMEGA, TEMP), GeometryParams(0.0, args.tau))
     rel = abs(lib - value) / value
     print(f"library quadrature:                             {lib!r}")
     print(f"relative difference: {rel:.3e}  (six significant digits -> < 1e-6)")

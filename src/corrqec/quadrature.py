@@ -3,7 +3,9 @@
 The integrand is called on flat numpy arrays of abscissae, so a single
 refinement step costs one vectorized evaluation regardless of how many
 panels are split.  Error per panel is estimated from the difference
-between a 15-point and an embedded 7-point rule.
+between the 15-point and the 7-point Gauss-Legendre rule.  The two are not
+nested: leggauss(7) shares only its midpoint with leggauss(15), so a panel
+costs 22 integrand calls (21 distinct abscissae), not 15.
 """
 from __future__ import annotations
 

@@ -160,6 +160,16 @@ def test_scalability_verdicts(tmp_path, capsys):
     assert all(ln.split(",")[4] == "true" for ln in rows)
 
 
+def test_scalability_linear_geometry_growth(tmp_path, capsys):
+    # y = 1 takes the geometry to a = 1e7 (r = 5e6, tau = 1e7)
+    cfg = write_config(tmp_path, "scalability", s=2.5, y=1.0, points=8)
+    code, text = run(capsys, "scalability", "--config", cfg)
+    assert code == 0
+    rows = [ln for ln in text.strip().split("\n") if ln and ln[0].isdigit()]
+    assert len(rows) == 8
+    assert "verdict: scalable" in text
+
+
 def test_beta_sources(tmp_path, capsys):
     code, out = run(capsys, "beta")
     assert code == 0

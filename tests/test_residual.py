@@ -307,6 +307,25 @@ def test_scalability_super_ohmic_scalable():
     assert all(row.satisfied for row in report.rows)
 
 
+@pytest.mark.parametrize(
+    "s,r0,n0",
+    [(2.0, 0.5, 100.0), (2.5, 0.5, 100.0), (1.5, 1.0, 10.0), (2.0, 0.005, 100.0)],
+)
+def test_scalability_linear_geometry_growth_evaluates(s, r0, n0):
+    # y = 1 drives a up to 1e8: every row evaluates, and at large a the rows
+    # follow Gamma ~ a^(2-s) (coth ~ 2T/w once aT is large)
+    scen = ScalingScenario(
+        s=s, y=1.0, r0=r0, tau0=1.0, n0=n0, T=1.0, Omega=10.0,
+        q=0.05, mu=1.0, b=1.0, coupling=0.002,
+    )
+    report = scalability_verdict(scen, geometric_grid(1e2, 1e9, 8))
+    assert len(report.rows) == 8
+    assert all(math.isfinite(row.gamma_r) and row.gamma_r > 0.0 for row in report.rows)
+    last, prev = report.rows[-1], report.rows[-2]
+    expect = (last.a / prev.a) ** (2.0 - s)
+    assert last.gamma_r / prev.gamma_r == pytest.approx(expect, rel=1e-4)
+
+
 def test_geometric_grid_shape():
     grid = geometric_grid(10.0, 1000.0, 5)
     assert len(grid) == 5
