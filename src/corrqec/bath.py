@@ -40,6 +40,7 @@ from scipy import special
 from . import quadrature
 from .dephasing import DecoherencePair
 from .errors import ConvergenceError, DomainError
+from .quadrature import QuadratureConfig
 
 __all__ = [
     "BathParams", "GeometryParams", "QuadratureConfig", "GammaEstimate",
@@ -80,19 +81,6 @@ class GeometryParams:
             raise DomainError(f"distance must be >= 0, got {self.r}")
         if not self.tau >= 0.0:
             raise DomainError(f"time must be >= 0, got {self.tau}")
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Tolerances and budgets for the decoherence integral.
-
-    abs_tol=None selects the default 1e-12 * A * Omega^(s-1).
-    """
-
-    abs_tol: float | None = None
-    rel_tol: float = 1e-9
-    max_panels: int = 200_000
-    head_nodes: int = 24
 
 
 @dataclass(frozen=True)
@@ -171,8 +159,55 @@ def decoherence_integrand(omega, bath: BathParams, geom: GeometryParams) -> np.n
 
 @functools.lru_cache(maxsize=32)
 def _jacobi_rule(m: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """m-node Gauss rule for the weight (1 + x)^beta on [-1, 1].
+
+    The algorithm of scipy.special.roots_jacobi(m, 0, beta), step for step,
+    and bit-equal to it: Golub-Welsch eigenvalues of the Jacobi matrix, one
+    Newton step, weights from log-normalised P_(m-1) and P_m'.  numpy's
+    eigvalsh replaces scipy.linalg, which would cost a further import.
+    beta = 0 takes the Legendre recurrence and symmetrises the rule, as
+    scipy does.
+    """
+    k = np.arange(1, m, dtype=float)
+    if beta == 0.0:
+        diag = np.zeros(m)
+        off = k * np.sqrt(1.0 / (4 * k * k - 1))
+        mu0 = 2.0
+
+        def p(n, x):
+            return special.eval_legendre(n, x)
+
+        def dp(n, x):
+            return (-n * x * p(n, x) + n * p(n - 1, x)) / (1 - x ** 2)
+    else:
+        b = beta
+        diag = np.empty(m)
+        diag[0] = b / (2 + b)
+        diag[1:] = b * b / ((2.0 * k + b) * (2.0 * k + b + 2))
+        off = (2.0 / (2.0 * k + b) * np.sqrt(k * (k + b) / (2 * k + b + 1))
+               * np.where(k == 1, 1.0, np.sqrt(k * (k + b) / (2.0 * k + b - 1))))
+        mu0 = 2.0 ** (b + 1) * special.beta(1.0, b + 1)
+
+        def p(n, x):
+            return special.eval_jacobi(n, 0.0, b, x)
+
+        def dp(n, x):
+            return 0.5 * (n + b + 1) * special.eval_jacobi(n - 1, 1.0, b + 1, x)
+
+    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    dy = dp(m, x)
+    x -= p(m, x) / dy
+    fm = p(m - 1, x)
+    log_fm = np.log(np.abs(fm))
+    log_dy = np.log(np.abs(dy))
+    fm /= np.exp((log_fm.max() + log_fm.min()) / 2.0)
+    dy /= np.exp((log_dy.max() + log_dy.min()) / 2.0)
+    w = 1.0 / (fm * dy)
+    if beta == 0.0:
+        w = (w + w[::-1]) / 2
+        x = (x - x[::-1]) / 2
+    w *= mu0 / w.sum()
     # read-only, because every caller with the same (m, beta) shares the arrays
-    x, w = special.roots_jacobi(m, 0.0, beta)
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w

@@ -8,11 +8,17 @@ only change wall time, never bytes, because rows are written in grid order.
 
 Exit status: 0 success, 1 domain/usage error, 2 numerical non-convergence
 (or an oracle/formula disagreement beyond tolerance).
+
+The bath and residual names, whose modules import scipy.special, are bound
+only by the subcommands that call them (gamma, fig1, scalability, residual,
+and oracle or beta given r or tau), so oracle, codes and beta otherwise run
+on numpy alone.
 """
 from __future__ import annotations
 
 import argparse
 import configparser
+import importlib
 import math
 import os
 import sys
@@ -20,21 +26,52 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .bath import BathParams, GeometryParams, QuadratureConfig, gamma_detailed, \
-    gamma_pair, scaling_identity_sides
 from .codes import CssCodePair, load_code_pair, meets_rate_bound, sample_random_css, \
     steane_code
 from .dephasing import DecoherencePair, alpha_matrix, beta, log_beta
 from .errors import ConvergenceError, DomainError, SizeLimitError
 from .oracle import encode, fidelity_formula, random_state, residual_exact
-from .residual import ResidualQuery, ScalingScenario, asymptotic_residual, \
-    code_avg_residual, geometric_grid, independent_residual, scalability_row, \
-    scalability_summary
+from .quadrature import QuadratureConfig
 
 _SUBCOMMANDS = ("gamma", "fig1", "oracle", "codes", "scalability", "beta", "residual")
 
 _FIG1_GAMMAR = "0.01,0.005,0.0025,0.00125,0"
 _FIG1_TGRID = "1,2,5,10,20,50,100,200,350,500"
+
+# what this module uses of the two layers that import scipy.special
+_LAYER_NAMES = {
+    "bath": ("BathParams", "GeometryParams", "gamma_detailed", "gamma_pair",
+             "scaling_identity_sides"),
+    "residual": ("ResidualQuery", "ScalingScenario", "asymptotic_residual",
+                 "code_avg_residual", "geometric_grid", "independent_residual",
+                 "scalability_row", "scalability_summary"),
+}
+_layers_bound = False
+
+
+def _bind_layers() -> None:
+    """Bind the _LAYER_NAMES as globals of this module, once per process.
+
+    Every function that uses them calls this first, worker tasks included:
+    a spawn or forkserver worker imports this module afresh.  A name that
+    is already bound, say wrapped through setattr by a profiler, is kept.
+    """
+    global _layers_bound
+    if _layers_bound:
+        return
+    for module, names in _LAYER_NAMES.items():
+        mod = importlib.import_module(f".{module}", __package__)
+        for name in names:
+            globals().setdefault(name, getattr(mod, name))
+    _layers_bound = True
+
+
+def __getattr__(name):
+    # PEP 562: getattr, hasattr and monkeypatching see the layer names too
+    if any(name in names for names in _LAYER_NAMES.values()):
+        _bind_layers()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -134,6 +171,7 @@ def _resolve_seed(args, settings: Settings, required: bool):
 
 
 def _bath_from(settings: Settings) -> BathParams:
+    _bind_layers()
     return BathParams(settings.get("coupling", float, 1.0),
                       settings.get("s", float, 1.0),
                       settings.get("omega", float, 10.0),
@@ -167,6 +205,7 @@ def _pmap(fn, payloads, jobs: int) -> list:
 # ---------------------------------------------------------------- gamma
 
 def _gamma_task(payload):
+    _bind_layers()
     bath, r, tau, quad, scale = payload
     est0 = gamma_detailed(bath, GeometryParams(0.0, tau), quad)
     estr = est0 if r == 0.0 else gamma_detailed(bath, GeometryParams(r, tau), quad)
@@ -196,6 +235,7 @@ def cmd_gamma(args) -> int:
 # ---------------------------------------------------------------- fig1
 
 def _fig1_task(payload):
+    _bind_layers()
     pair, t, q, tol = payload
     n = round(t / q)
     kwargs = {"rel_tol": tol} if tol is not None else {}
@@ -300,11 +340,13 @@ def cmd_codes(args) -> int:
 # ---------------------------------------------------------------- scalability
 
 def _scal_task(payload):
+    _bind_layers()
     scen, nv, quad = payload
     return scalability_row(scen, nv, quad)
 
 
 def cmd_scalability(args) -> int:
+    _bind_layers()
     settings = _load_settings(args, "scalability")
     quad = _quad_for(_resolve_tol(args, settings))
     scen = ScalingScenario(
@@ -364,6 +406,7 @@ def cmd_beta(args) -> int:
 # ---------------------------------------------------------------- residual
 
 def _residual_task(payload):
+    _bind_layers()
     n, t, pair, source, tol = payload
     kwargs = {"rel_tol": tol} if tol is not None else {}
     query = ResidualQuery(n, t, pair)

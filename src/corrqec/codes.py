@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bitops import popcount
+from .bitops import bits_to_str, popcount, str_to_bits
 from .errors import DomainError, SizeLimitError
 
 __all__ = [
@@ -286,9 +286,9 @@ def coset_representatives(pair: CssCodePair) -> list[int]:
             if (mask >> j) & 1:
                 q0 ^= g
         coset = subgroup ^ np.uint64(q0)
-        rep = min((int(v) for v in coset), key=lambda v: _bits_to_str(v, n))
+        rep = min((int(v) for v in coset), key=lambda v: bits_to_str(v, n))
         reps.append(rep)
-    reps.sort(key=lambda v: _bits_to_str(v, n))
+    reps.sort(key=lambda v: bits_to_str(v, n))
     return reps
 
 
@@ -316,18 +316,10 @@ def codewords(pair: CssCodePair) -> list[CodeBasisState]:
     return states
 
 
-def _bits_to_str(vec: int, n: int) -> str:
-    return "".join("1" if (vec >> j) & 1 else "0" for j in range(n))
-
-
 def _str_to_bits(text: str, n: int) -> int:
     if len(text) != n or set(text) - {"0", "1"}:
         raise DomainError(f"bad generator row {text!r}")
-    v = 0
-    for j, ch in enumerate(text):
-        if ch == "1":
-            v |= 1 << j
-    return v
+    return str_to_bits(text)
 
 
 def save_code_pair(path, pair: CssCodePair) -> None:
@@ -336,8 +328,8 @@ def save_code_pair(path, pair: CssCodePair) -> None:
     Row strings put coordinate 0 first.
     """
     lines = [f"{pair.n} {pair.k} {pair.c1.dim} {pair.c2.dim}"]
-    lines += [_bits_to_str(g, pair.n) for g in pair.c1.generators]
-    lines += [_bits_to_str(g, pair.n) for g in pair.c2.generators]
+    lines += [bits_to_str(g, pair.n) for g in pair.c1.generators]
+    lines += [bits_to_str(g, pair.n) for g in pair.c2.generators]
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 

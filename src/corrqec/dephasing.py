@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitops import index_weights
+from .bitops import bits_to_str, index_weights, str_to_bits
 from .errors import ConvergenceError, DomainError, check_dense_bytes
 from .quadrature import integrate, uniform_edges
 
@@ -82,17 +82,10 @@ class BitString:
 
     @classmethod
     def from_string(cls, text: str) -> "BitString":
-        # character position j is coordinate j
-        bits = 0
-        for j, ch in enumerate(text):
-            if ch == "1":
-                bits |= 1 << j
-            elif ch != "0":
-                raise DomainError(f"invalid bit character {ch!r}")
-        return cls(len(text), bits)
+        return cls(len(text), str_to_bits(text))
 
     def __str__(self) -> str:
-        return "".join("1" if (self.bits >> j) & 1 else "0" for j in range(self.n))
+        return bits_to_str(self.bits, self.n)
 
 
 def coefficient_c(eta: BitString, mu: BitString, pair: DecoherencePair) -> float:

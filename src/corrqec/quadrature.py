@@ -6,12 +6,32 @@ panels are split.  Error per panel is estimated from the difference
 between the 15-point and the 7-point Gauss-Legendre rule.  The two are not
 nested: leggauss(7) shares only its midpoint with leggauss(15), so a panel
 costs 22 integrand calls (21 distinct abscissae), not 15.
+
+QuadratureConfig, the tolerances and budgets of the decoherence integral,
+lives here rather than in bath so that a caller can build one without
+loading scipy; bath re-exports it.
 """
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError
+
+
+@dataclass(frozen=True)
+class QuadratureConfig:
+    """Tolerances and budgets for the decoherence integral.
+
+    abs_tol=None selects the default 1e-12 * A * Omega^(s-1).
+    """
+
+    abs_tol: float | None = None
+    rel_tol: float = 1e-9
+    max_panels: int = 200_000
+    head_nodes: int = 24
+
 
 _HI_X, _HI_W = np.polynomial.legendre.leggauss(15)
 _LO_X, _LO_W = np.polynomial.legendre.leggauss(7)

@@ -229,6 +229,42 @@ def test_head_rule_cache_keeps_results_bit_identical():
     assert not x.flags.writeable
 
 
+# head rules use beta = s - 1 (T > 0) or s (T = 0), s in (0, 3)
+JACOBI_BETAS = (-0.9, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 2.75, 3.5)
+
+
+@pytest.mark.parametrize("m", [12, 24])
+@pytest.mark.parametrize("beta", JACOBI_BETAS)
+def test_jacobi_rule_bit_equal_to_scipy(m, beta):
+    from scipy.special import roots_jacobi
+    x, w = bath_module._jacobi_rule.__wrapped__(m, beta)
+    x_ref, w_ref = roots_jacobi(m, 0.0, beta)
+    assert np.array_equal(x, x_ref) and np.array_equal(w, w_ref)
+
+
+@pytest.mark.parametrize("m", [12, 24])
+@pytest.mark.parametrize("beta", JACOBI_BETAS)
+def test_jacobi_rule_integrates_beta_moments(m, beta):
+    # int_-1^1 (1-x)^j (1+x)^beta dx = 2^(j+beta+1) B(j+1, beta+1), exact to
+    # degree 2m-1; every term is positive, so no cancellation hides an error.
+    # Worst measured: 1.0e-12 relative at beta = -0.9, m = 24, j = 47, where
+    # the weights next to the singular endpoint carry it; 5e-14 for beta >= 0.
+    x, w = bath_module._jacobi_rule.__wrapped__(m, beta)
+    assert np.all(np.diff(x) > 0.0) and np.all(w > 0.0)
+    for j in range(2 * m):
+        exact = 2.0 ** (j + beta + 1) * math.gamma(j + 1) * math.gamma(beta + 1) \
+            / math.gamma(j + beta + 2)
+        assert float(w @ (1.0 - x) ** j) == pytest.approx(exact, rel=2e-12)
+
+
+def test_jacobi_rule_legendre_case_warns_nothing():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for m in (12, 24):
+            x, w = bath_module._jacobi_rule.__wrapped__(m, 0.0)
+            assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+
+
 def test_spectral_density_points():
     assert spectral_density(BathParams(0.0, 1.0, 1.0, 1.0), 2.3) == 0.0
     assert spectral_density(BathParams(1.0, 1.0, 1.0, 1.0), 1.0) == pytest.approx(

@@ -3,6 +3,7 @@ import pytest
 from corrqec import cli
 from corrqec.cli import main
 from corrqec.errors import ConvergenceError
+from test_imports import run_python
 
 
 def run(capsys, *argv: str) -> tuple[int, str]:
@@ -234,6 +235,28 @@ def test_jobs_do_not_change_output(tmp_path):
     assert main(["gamma", "--config", cfg, "--out", str(a)]) == 0
     assert main(["gamma", "--config", cfg, "--jobs", "2", "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_jobs_under_spawn_match_serial_bytes(tmp_path):
+    # spawn (and forkserver) workers import corrqec.cli afresh, so the layer
+    # names a task uses must be bound in the worker, not only in the parent
+    (tmp_path / "small.ini").write_text(
+        "[fig1]\ngammar_list = 0.005,0\nt_grid = 1,2,5\n"
+        "[scalability]\nn_max = 1e5\npoints = 4\n", encoding="utf-8")
+    run_python("""
+        import multiprocessing
+        multiprocessing.set_start_method("spawn")
+        from corrqec.cli import main
+        for name in ("fig1", "scalability"):
+            for jobs in ("1", "2"):
+                argv = [name, "--config", "small.ini", "--jobs", jobs,
+                        "--out", f"{name}_{jobs}.csv"]
+                assert main(argv) == 0, argv
+    """, tmp_path)
+    for name in ("fig1", "scalability"):
+        serial = (tmp_path / f"{name}_1.csv").read_bytes()
+        assert serial.count(b"\n") > 2
+        assert (tmp_path / f"{name}_2.csv").read_bytes() == serial
 
 
 def test_jobs_clamped_to_items_and_cores(monkeypatch):

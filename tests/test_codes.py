@@ -253,3 +253,11 @@ def test_load_rejects_corrupt_file(tmp_path):
     path.write_text("3 1 2 1\n111\n")
     with pytest.raises((DomainError, ValueError)):
         load_code_pair(path)
+
+
+@pytest.mark.parametrize("row", ["1x1", "11", "1 1", "1_1"])
+def test_load_rejects_bad_generator_row(tmp_path, row):
+    path = tmp_path / "bad.code"
+    path.write_text(f"3 1 1 0\n{row}\n")
+    with pytest.raises(DomainError, match=r"bad generator row"):
+        load_code_pair(path)

@@ -44,6 +44,16 @@ def test_coefficient_hand_value():
     assert c == pytest.approx(0.054, rel=1e-12)
 
 
+def test_bitstring_text_round_trip_and_errors():
+    # character j is coordinate j
+    b = BitString.from_string("1101")
+    assert (b.n, b.bits) == (4, 0b1011) and str(b) == "1101"
+    with pytest.raises(DomainError, match=r"invalid bit character '2'"):
+        BitString.from_string("1021")
+    with pytest.raises(DomainError, match="register length"):
+        BitString.from_string("")
+
+
 @given(
     eta=st.integers(0, 31),
     mu=st.integers(0, 31),

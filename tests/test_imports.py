@@ -1,0 +1,88 @@
+"""Which scipy modules a process loads, checked in fresh interpreters.
+
+scipy.special costs about 0.35 s and scipy.linalg about 0.1 s of a CLI
+process's start; only the bath and residual layers need the first, and
+nothing needs the second.
+"""
+import os
+import subprocess
+import sys
+import textwrap
+
+import pytest
+
+import corrqec
+from corrqec import bath, codes, dephasing, errors, oracle, residual
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(corrqec.__file__)))
+
+
+def run_python(code: str, cwd) -> str:
+    """stdout of a fresh interpreter running code with this checkout's corrqec."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    env.pop("CORRQEC_TOL", None)
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_package_and_numpy_only_subcommands_load_no_scipy_special(tmp_path):
+    # one interpreter: the import, then oracle (with --tol), codes and beta as
+    # python -m corrqec.cli runs them
+    (tmp_path / "small.ini").write_text(
+        "[oracle]\nstates = 2\n[codes]\nn = 10\nk = 1\nsamples = 4\n[beta]\nn = 8\n",
+        encoding="utf-8")
+    out = run_python("""
+        import runpy, sys
+        import corrqec
+        print("import", "scipy.special" in sys.modules, "corrqec.bath" in sys.modules)
+        for command in ("oracle", "codes", "beta"):
+            sys.argv = ["corrqec", command, "--config", "small.ini", "--seed", "5",
+                        "--tol", "1e-9", "--out", command + ".csv"]
+            try:
+                runpy.run_module("corrqec.cli", run_name="__main__")
+            except SystemExit as exc:
+                assert exc.code == 0, (command, exc.code)
+            print(command, "scipy.special" in sys.modules)
+    """, tmp_path)
+    assert out.split("\n")[0] == "import False False"
+    assert [line for line in out.split("\n") if line.startswith(("oracle ", "codes ", "beta "))] \
+        == ["oracle False", "codes False", "beta False"]
+    for command in ("oracle", "codes", "beta"):
+        assert (tmp_path / f"{command}.csv").read_text(encoding="ascii").count("\n") > 1
+
+
+def test_cli_layer_names_patchable_and_gamma_loads_no_scipy_linalg(tmp_path):
+    # a profiler wraps corrqec.cli's names through hasattr/setattr before main
+    # runs; the default gamma scan is one gamma_detailed call
+    out = run_python("""
+        import sys
+        from corrqec import cli
+        calls = []
+        for name in ("gamma_detailed", "code_avg_residual"):
+            assert hasattr(cli, name)
+            inner = getattr(cli, name)
+            setattr(cli, name, lambda *a, _f=inner, _n=name, **k: calls.append(_n) or _f(*a, **k))
+        assert cli.main(["gamma", "--out", "g.csv"]) == 0
+        print("scipy.linalg" in sys.modules)
+        assert cli.main(["residual", "--out", "r.csv"]) == 0
+        print(calls.count("gamma_detailed"), calls.count("code_avg_residual"))
+    """, tmp_path)
+    assert out.split() == ["False", "1", "5"]
+
+
+def test_lazy_names_match_the_layers():
+    assert corrqec._LAZY == {"bath": tuple(bath.__all__), "residual": tuple(residual.__all__)}
+    modules = (errors, bath, dephasing, codes, oracle, residual)
+    expected = {name for mod in modules for name in mod.__all__} | {"__version__"}
+    assert len(corrqec.__all__) == len(expected) == 64
+    assert set(corrqec.__all__) == expected
+    assert set(corrqec.__all__) <= set(dir(corrqec))
+    namespace = {}
+    exec("from corrqec import *", namespace)
+    assert namespace["gamma_pair"] is bath.gamma_pair
+    assert namespace["code_avg_residual"] is residual.code_avg_residual
+    assert expected <= set(namespace)
+    with pytest.raises(AttributeError):
+        corrqec.no_such_name  # noqa: B018
