@@ -6,11 +6,14 @@ inverse length/time all share one unit.  The central quantity is
     Gamma(r, tau) = A * int_0^inf dw w^(s-2) (1 - cos w*tau) coth(w/2T)
                                   * sinc(w*r) * exp(-w/Omega)
 
-evaluated by a three-part scheme: a Gauss-Jacobi rule on [0, w_c] that
-absorbs the w^(s-1)-type endpoint behaviour exactly, a body on [w_c, W],
-and an analytic bound for the tail beyond W that is folded into the
-reported error estimate.  The body takes one of three routes, chosen from
-the geometry (details and thresholds in gamma_detailed):
+evaluated by a three-part scheme: a 24-node Gauss-Jacobi rule on [0, w_c]
+that absorbs the w^(s-1)-type endpoint behaviour exactly, a body on
+[w_c, W], and an analytic bound for the tail beyond W that is folded into
+the reported error estimate.  The cutoff-and-thermal factor
+exp(-w/Omega) coth(w/2T) is formed in one place (_damping) and shared by
+the integrand, the head and the Filon slow factors.  The body takes one of
+three routes, chosen from the geometry (details and thresholds in
+gamma_detailed):
 
 - adaptive Gauss-Legendre panels that resolve every oscillation, at small
   geometries where that is cheapest;
@@ -99,24 +102,29 @@ def spectral_density(bath: BathParams, omega):
     return float(val) if np.isscalar(omega) or om.ndim == 0 else val
 
 
-def _series_threshold(T: float, tau: float) -> float:
-    # below this frequency coth is replaced by its Laurent series 2T/w + w/(6T)
-    lim = T
-    if tau > 0.0:
-        lim = min(lim, 1.0 / tau)
-    return 1e-4 * lim
+def _damping(bath: BathParams, tau: float):
+    """w -> exp(-w/Omega) coth(w/2T) for w > 0 (exp(-w/Omega) alone at T = 0).
 
+    Below 1e-4 min(T, 1/tau) coth takes its Laurent series 2T/w + w/(6T);
+    from w = 40 T on it is 1 to double precision.
+    """
+    Om, T = bath.Omega, bath.T
+    if T == 0.0:
+        return lambda om: np.exp(-om / Om)
+    series_below = 1e-4 * (min(T, 1.0 / tau) if tau > 0.0 else T)
 
-def _coth(omega: np.ndarray, T: float, series_below: float) -> np.ndarray:
-    out = np.empty_like(omega)
-    x = omega / (2.0 * T)
-    small = omega < series_below
-    big = x >= 20.0
-    mid = ~(small | big)
-    out[small] = 2.0 * T / omega[small] + omega[small] / (6.0 * T)
-    out[big] = 1.0
-    out[mid] = 1.0 + 2.0 / np.expm1(2.0 * x[mid])
-    return out
+    def damp(om):
+        coth = np.empty_like(om)
+        x = om / (2.0 * T)
+        small = om < series_below
+        big = x >= 20.0
+        mid = ~(small | big)
+        coth[small] = 2.0 * T / om[small] + om[small] / (6.0 * T)
+        coth[big] = 1.0
+        coth[mid] = 1.0 + 2.0 / np.expm1(2.0 * x[mid])
+        return np.exp(-om / Om) * coth
+
+    return damp
 
 
 _TINY = float(np.finfo(float).tiny)
@@ -131,9 +139,9 @@ def _sinc(x: np.ndarray) -> np.ndarray:
 def decoherence_integrand(omega, bath: BathParams, geom: GeometryParams) -> np.ndarray:
     """Stable elementwise evaluation of the Gamma integrand.
 
-    Uses (1-cos w*tau)/w^2 = 2 (sin(w*tau/2)/w)^2, sin(x)/x written out and a
-    branched coth, so no 0/0 or inf*0 is formed down to the smallest normal
-    w.  w = 0 itself is mapped to the analytic limit.
+    Uses (1-cos w*tau)/w^2 = 2 (sin(w*tau/2)/w)^2, sin(x)/x written out and
+    the branched coth of _damping, so no 0/0 or inf*0 is formed down to the
+    smallest normal w.  w = 0 itself is mapped to the analytic limit.
     """
     om = np.atleast_1d(np.asarray(omega, dtype=float))
     zero = om == 0.0
@@ -141,11 +149,9 @@ def decoherence_integrand(omega, bath: BathParams, geom: GeometryParams) -> np.n
     w = np.where(zero, 1.0, om) if any_zero else om
     # (sin/w)^2 before w^s: apart, w^(s-2) overflows and sin^2 underflows
     half = np.sin(0.5 * geom.tau * w) / w
-    val = 2.0 * bath.A * half * half * w ** bath.s * np.exp(-w / bath.Omega)
+    val = 2.0 * bath.A * half * half * w ** bath.s * _damping(bath, geom.tau)(w)
     if geom.r > 0.0:
         val *= _sinc(w * geom.r)
-    if bath.T > 0.0:
-        val *= _coth(w, bath.T, _series_threshold(bath.T, geom.tau))
     if any_zero:
         if bath.T == 0.0 or bath.s > 1.0:
             lim = 0.0
@@ -213,24 +219,22 @@ def _jacobi_rule(m: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _head_integral(bath: BathParams, geom: GeometryParams, wc: float,
-                   nodes: int) -> tuple[float, float]:
+_HEAD_NODES = 24
+
+
+def _head_integral(bath: BathParams, geom: GeometryParams, wc: float) -> tuple[float, float]:
     """Gauss-Jacobi evaluation of [0, wc]; the w^(s-1) (or w^s at T=0)
     endpoint factor is the Jacobi weight, the remainder is analytic."""
-    thr = _series_threshold(bath.T, geom.tau) if bath.T > 0.0 else 0.0
+    damp = _damping(bath, geom.tau)
 
     def smooth(om):
         # Jacobi nodes are interior, so om > 0 and the quotients are safe
         half = np.sin(0.5 * geom.tau * om) / om
-        g = 2.0 * half * half * np.exp(-om / bath.Omega)
+        g = 2.0 * half * half * damp(om)
         if geom.r > 0.0:
             g *= _sinc(om * geom.r)
         if bath.T > 0.0:
-            wcoth = np.where(om < thr,
-                             2.0 * bath.T + om ** 2 / (6.0 * bath.T),
-                             om * (1.0 + 2.0 / np.expm1(
-                                 np.minimum(om / bath.T, 50.0))))
-            g = g * wcoth
+            g *= om  # w coth(w/2T) -> 2T at w = 0
         return g
 
     if bath.T > 0.0:
@@ -241,7 +245,7 @@ def _head_integral(bath: BathParams, geom: GeometryParams, wc: float,
         prefac = bath.A * (0.5 * wc) ** (bath.s + 1.0)
 
     vals = []
-    for m in (nodes // 2, nodes):
+    for m in (_HEAD_NODES // 2, _HEAD_NODES):
         x, w = _jacobi_rule(m, beta)
         om = 0.5 * wc * (x + 1.0)
         vals.append(prefac * float(w @ smooth(om)))
@@ -264,17 +268,18 @@ def _tail_bound(bath: BathParams, W: float) -> float:
 # Filon body: per-panel Legendre fit of a slow factor, exact phase moments.
 _FILON_DEG = 15
 _EPS = float(np.finfo(float).eps)
-_B_FILON = None
 
 
-def _filon_matrix():
-    global _B_FILON
-    if _B_FILON is None:
-        x, w = np.polynomial.legendre.leggauss(_FILON_DEG)
-        V = np.polynomial.legendre.legvander(x, _FILON_DEG - 1)
-        n = np.arange(_FILON_DEG)
-        _B_FILON = ((n + 0.5)[:, None] * (V.T * w), x)
-    return _B_FILON
+@functools.cache
+def _filon_matrix() -> tuple[np.ndarray, np.ndarray]:
+    # Gauss values -> Legendre coefficients of the interpolant, and the nodes;
+    # read-only, because every pass shares them
+    x, w = np.polynomial.legendre.leggauss(_FILON_DEG)
+    V = np.polynomial.legendre.legvander(x, _FILON_DEG - 1)
+    n = np.arange(_FILON_DEG)
+    B = (n + 0.5)[:, None] * (V.T * w)
+    B.flags.writeable = x.flags.writeable = False
+    return B, x
 
 
 def _filon_pass(F, mid: np.ndarray, h: np.ndarray, phases) -> tuple[float, float]:
@@ -351,59 +356,38 @@ def _filon_panels(wc: float, W: float, cap: float) -> tuple[np.ndarray, np.ndarr
     return mid, np.concatenate([0.5 * geo, np.full(count, h)])
 
 
-def _fast_phase_factor(bath: BathParams, geom: GeometryParams):
-    """Slow factor and exact phases with the slower of the two oscillations
-    kept in the slow factor.
+def _filon_factor(bath: BathParams, geom: GeometryParams, fast: bool):
+    """Slow factor F and exact phases (weight, k, cosine) of the integrand.
 
-    r > tau: sin(w r) against 2A w^(s-3) sin(w tau/2)^2 coth(w/2T) e^(-w/Omega) / r.
-    r < tau: 1 - cos(w tau) against A w^(s-2) sinc(w r) coth(w/2T) e^(-w/Omega).
+    fast keeps the slower of the two oscillations in F:
+    r > tau: sin(w r) against 2A w^(s-3) sin(w tau/2)^2 D(w) / r;
+    r < tau: 1 - cos(w tau) against A w^(s-2) sinc(w r) D(w).
+    Otherwise both are exact phases, (1 - cos w tau) sin(w r) = sin(w r)
+    - sin(w (r + tau))/2 - sin(w (r - tau))/2 against A w^(s-3) D(w) / r,
+    which at r = 0 is the r < tau form with sinc(0) = 1.
+    D(w) = exp(-w/Omega) coth(w/2T) is _damping.
     """
+    A, s = bath.A, bath.s
     r, tau = geom.r, geom.tau
-    thr = _series_threshold(bath.T, tau) if bath.T > 0.0 else 0.0
-    if r > tau:
+    damp = _damping(bath, tau)
+    if fast and r > tau:
         phases = ((1.0, r, False),)
 
-        def slow(om):
+        def F(om):
             half = np.sin(0.5 * tau * om)
-            return 2.0 * bath.A / r * om ** (bath.s - 3.0) * half * half
-    else:
+            return 2.0 * A / r * om ** (s - 3.0) * half * half * damp(om)
+    elif fast or r == 0.0:
         phases = ((1.0, 0.0, True), (-1.0, tau, True))
 
-        def slow(om):
-            return bath.A * om ** (bath.s - 2.0) * _sinc(om * r)
-
-    def F(om):
-        v = slow(om) * np.exp(-om / bath.Omega)
-        if bath.T > 0.0:
-            v = v * _coth(om, bath.T, thr)
-        return v
-
-    return F, phases
-
-
-def _three_phase_factor(bath: BathParams, geom: GeometryParams):
-    """Slow factor and exact phases of the integrand.
-
-    r > 0: (1 - cos w tau) sin(w r) = sin(w r) - sin(w (r + tau))/2
-    - sin(w (r - tau))/2 against A w^(s-3) coth(w/2T) e^(-w/Omega) / r.
-    r = 0: 1 - cos(w tau) against A w^(s-2) coth(w/2T) e^(-w/Omega).
-    """
-    r, tau = geom.r, geom.tau
-    thr = _series_threshold(bath.T, tau) if bath.T > 0.0 else 0.0
-    if r > 0.0:
-        amp, power = bath.A / r, bath.s - 3.0
+        def F(om):
+            return A * om ** (s - 2.0) * _sinc(om * r) * damp(om)
+    else:
         # sin(w (r - tau)) = -sin(w (tau - r)): keep every k >= 0
         phases = ((1.0, r, False), (-0.5, r + tau, False),
                   (-0.5 if r >= tau else 0.5, abs(r - tau), False))
-    else:
-        amp, power = bath.A, bath.s - 2.0
-        phases = ((1.0, 0.0, True), (-1.0, tau, True))
 
-    def F(om):
-        v = amp * om ** power * np.exp(-om / bath.Omega)
-        if bath.T > 0.0:
-            v = v * _coth(om, bath.T, thr)
-        return v
+        def F(om):
+            return A / r * om ** (s - 3.0) * damp(om)
 
     return F, phases
 
@@ -474,7 +458,7 @@ def gamma_detailed(bath: BathParams, geom: GeometryParams,
         scales.append(1.0 / r)
     wc = 0.5 * min(scales)
 
-    head, head_err = _head_integral(bath, geom, wc, quad.head_nodes)
+    head, head_err = _head_integral(bath, geom, wc)
     tail = _tail_bound(bath, W)
 
     full_cap = 0.5 * np.pi / max(r, tau, 1.0 / Om)
@@ -487,12 +471,11 @@ def gamma_detailed(bath: BathParams, geom: GeometryParams,
             edges = quadrature.uniform_edges(wc, W, full_cap)
             body, body_err = quadrature.integrate(
                 lambda om: decoherence_integrand(om, bath, geom), edges, **tols)
-        elif cancels and (W - wc) / slow_cap <= 30_000:
-            F, phases = _fast_phase_factor(bath, geom)
-            body, body_err = _filon_integral(F, _filon_panels(wc, W, slow_cap), phases, **tols)
         else:
-            F, phases = _three_phase_factor(bath, geom)
-            body, body_err = _filon_integral(F, _filon_panels(wc, W, Om), phases, **tols)
+            fast = cancels and (W - wc) / slow_cap <= 30_000
+            F, phases = _filon_factor(bath, geom, fast)
+            panels = _filon_panels(wc, W, slow_cap if fast else Om)
+            body, body_err = _filon_integral(F, panels, phases, **tols)
     except ConvergenceError as exc:
         raise ConvergenceError(
             str(exc), estimate=head + exc.estimate,

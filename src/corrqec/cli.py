@@ -33,8 +33,6 @@ from .errors import ConvergenceError, DomainError, SizeLimitError
 from .oracle import encode, fidelity_formula, random_state, residual_exact
 from .quadrature import QuadratureConfig
 
-_SUBCOMMANDS = ("gamma", "fig1", "oracle", "codes", "scalability", "beta", "residual")
-
 _FIG1_GAMMAR = "0.01,0.005,0.0025,0.00125,0"
 _FIG1_TGRID = "1,2,5,10,20,50,100,200,350,500"
 
@@ -133,11 +131,11 @@ class Settings:
 _REQUIRED = object()
 
 
-def _load_settings(args, name: str) -> Settings:
-    if not args.config:
+def _load_settings(path, name: str) -> Settings:
+    if not path:
         return Settings({})
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    with open(args.config, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh:
         parser.read_file(fh)
     if parser.has_section(name):
         return Settings(dict(parser.items(name)))
@@ -179,11 +177,16 @@ def _bath_from(settings: Settings) -> BathParams:
 
 
 def _pair_from(settings: Settings, quad) -> tuple[DecoherencePair, str]:
-    """Raw (gamma0, gammar) keys win; bath + geometry keys otherwise.
+    """The pair from raw (gamma0, gammar) keys or from bath + geometry keys.
 
-    With neither present the stock demonstration pair (0.01, 0.005) is used.
+    A config that gives a raw key and a geometry key (r or tau) is a
+    DomainError.  With neither present the stock demonstration pair
+    (0.01, 0.005) is used.
     """
     if settings.has("r") or settings.has("tau"):
+        if settings.has("gamma0") or settings.has("gammar"):
+            raise DomainError("give either gamma0/gammar or the geometry r/tau, "
+                              "not both")
         bath = _bath_from(settings)
         pair = gamma_pair(bath, settings.get("r", float, _REQUIRED),
                           settings.get("tau", float, _REQUIRED), quad)
@@ -217,9 +220,8 @@ def _gamma_task(payload):
     return row
 
 
-def cmd_gamma(args) -> int:
-    settings = _load_settings(args, "gamma")
-    quad = _quad_for(_resolve_tol(args, settings))
+def cmd_gamma(args, settings: Settings, tol) -> int:
+    quad = _quad_for(tol)
     bath = _bath_from(settings)
     r_grid = _floats(settings.get("r_grid", str, "0.0"))
     tau_grid = _floats(settings.get("tau_grid", str, "1.0"))
@@ -244,9 +246,7 @@ def _fig1_task(payload):
     return [t, n, pair.gammaR, delta, asym]
 
 
-def cmd_fig1(args) -> int:
-    settings = _load_settings(args, "fig1")
-    tol = _resolve_tol(args, settings)
+def cmd_fig1(args, settings: Settings, tol) -> int:
     gamma0 = settings.get("gamma0", float, 0.01)
     gammar_list = _floats(settings.get("gammar_list", str, _FIG1_GAMMAR))
     t_grid = [int(v) for v in _floats(settings.get("t_grid", str, _FIG1_TGRID))]
@@ -265,11 +265,9 @@ def _load_code(settings: Settings) -> CssCodePair:
     return steane_code() if name == "steane" else load_code_pair(name)
 
 
-def cmd_oracle(args) -> int:
-    settings = _load_settings(args, "oracle")
-    quad = _quad_for(_resolve_tol(args, settings))
+def cmd_oracle(args, settings: Settings, tol) -> int:
     code = _load_code(settings)
-    pair, source = _pair_from(settings, quad)
+    pair, source = _pair_from(settings, _quad_for(tol))
     states = settings.get("states", int, 20)
     seed = _resolve_seed(args, settings, required=states > 0)
     alpha = alpha_matrix(code.n, pair)
@@ -314,8 +312,7 @@ def _wilson(hits: int, total: int) -> tuple[float, float]:
     return center - half, center + half
 
 
-def cmd_codes(args) -> int:
-    settings = _load_settings(args, "codes")
+def cmd_codes(args, settings: Settings, tol) -> int:
     n = settings.get("n", int, 15)
     k = settings.get("k", int, 1)
     samples = settings.get("samples", int, 200)
@@ -345,10 +342,9 @@ def _scal_task(payload):
     return scalability_row(scen, nv, quad)
 
 
-def cmd_scalability(args) -> int:
+def cmd_scalability(args, settings: Settings, tol) -> int:
     _bind_layers()
-    settings = _load_settings(args, "scalability")
-    quad = _quad_for(_resolve_tol(args, settings))
+    quad = _quad_for(tol)
     scen = ScalingScenario(
         s=settings.get("s", float, 1.0),
         y=settings.get("y", float, 1.0 / 3.0),
@@ -390,9 +386,7 @@ def _beta_task(payload):
             log_beta(n, w, pair, **kwargs), source]
 
 
-def cmd_beta(args) -> int:
-    settings = _load_settings(args, "beta")
-    tol = _resolve_tol(args, settings)
+def cmd_beta(args, settings: Settings, tol) -> int:
     pair, source = _pair_from(settings, _quad_for(tol))
     n = settings.get("n", int, 6)
     w_text = settings.get("w_list", str, "all")
@@ -418,9 +412,7 @@ def _residual_task(payload):
             asym.erfc_approx if asym else None]
 
 
-def cmd_residual(args) -> int:
-    settings = _load_settings(args, "residual")
-    tol = _resolve_tol(args, settings)
+def cmd_residual(args, settings: Settings, tol) -> int:
     pair, source = _pair_from(settings, _quad_for(tol))
     if settings.has("n") or settings.has("t"):
         if settings.has("n_grid"):
@@ -440,24 +432,15 @@ def cmd_residual(args) -> int:
 
 # ---------------------------------------------------------------- driver
 
-_DISPATCH = {
-    "gamma": cmd_gamma,
-    "fig1": cmd_fig1,
-    "oracle": cmd_oracle,
-    "codes": cmd_codes,
-    "scalability": cmd_scalability,
-    "beta": cmd_beta,
-    "residual": cmd_residual,
-}
-
-_HELP = {
-    "gamma": "decoherence integrals over an (r, tau) grid",
-    "fig1": "code-averaged residual curves over t with asymptotes",
-    "oracle": "exact vs formula residual on a small code",
-    "codes": "sample random CSS pairs and report distances",
-    "scalability": "budget condition along a size grid with verdict",
-    "beta": "diagonal channel coefficients beta_w",
-    "residual": "code-averaged residual with limits at chosen sizes",
+# name: (help, command); --help lists the subcommands in this order
+_COMMANDS = {
+    "gamma": ("decoherence integrals over an (r, tau) grid", cmd_gamma),
+    "fig1": ("code-averaged residual curves over t with asymptotes", cmd_fig1),
+    "oracle": ("exact vs formula residual on a small code", cmd_oracle),
+    "codes": ("sample random CSS pairs and report distances", cmd_codes),
+    "scalability": ("budget condition along a size grid with verdict", cmd_scalability),
+    "beta": ("diagonal channel coefficients beta_w", cmd_beta),
+    "residual": ("code-averaged residual with limits at chosen sizes", cmd_residual),
 }
 
 
@@ -474,15 +457,16 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="corrqec",
                      description="correlated-dephasing noise vs CSS codes")
     sub = parser.add_subparsers(dest="command", metavar="SUBCOMMAND", required=True)
-    for name in _SUBCOMMANDS:
-        sub.add_parser(name, parents=[common], help=_HELP[name])
+    for name, (text, _) in _COMMANDS.items():
+        sub.add_parser(name, parents=[common], help=text)
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _DISPATCH[args.command](args)
+        settings = _load_settings(args.config, args.command)
+        return _COMMANDS[args.command][1](args, settings, _resolve_tol(args, settings))
     except ConvergenceError as exc:
         print(f"corrqec: numerical non-convergence: {exc}", file=sys.stderr)
         return 2

@@ -18,13 +18,12 @@ import numpy as np
 
 from .bitops import index_weights
 from .codes import CssCodePair, codewords
-from .dephasing import AlphaMatrix, BitString, DecoherencePair, apply_channel, walsh_transform
+from .dephasing import AlphaMatrix, DecoherencePair, apply_channel, walsh_transform
 from .errors import DomainError, SizeLimitError, check_dense_bytes
 
 __all__ = [
-    "PureState", "DensityMatrix", "PauliLabel", "encode", "apply_recovery",
+    "PureState", "DensityMatrix", "encode", "apply_recovery",
     "fidelity_formula", "residual_exact", "x_polarized_state", "random_state",
-    "correction_labels",
 ]
 
 _PIPELINE_CAP = 10
@@ -86,29 +85,6 @@ class DensityMatrix:
     @property
     def trace(self) -> float:
         return float(self.entries.trace().real)
-
-
-@dataclass(frozen=True)
-class PauliLabel:
-    """One recovery term: X on the support of x_part, Z on the support of z_part."""
-
-    x_part: BitString
-    z_part: BitString
-
-    def __post_init__(self):
-        if self.x_part.n != self.z_part.n:
-            raise DomainError("X and Z parts must have equal length")
-
-
-def correction_labels(pair: CssCodePair) -> list[PauliLabel]:
-    """All X_mu Z_nu with |mu| <= t and |nu| <= t, in (mu, nu) index order.
-
-    This is the exact term set of the recovery map; tests use it for the
-    brute-force route, apply_recovery batches the nu sum internally.
-    """
-    low = [int(v) for v in np.nonzero(index_weights(pair.n) <= pair.t)[0]]
-    return [PauliLabel(BitString(pair.n, m), BitString(pair.n, v))
-            for m in low for v in low]
 
 
 @functools.lru_cache(maxsize=128)

@@ -22,15 +22,15 @@ from .errors import ConvergenceError
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and budgets for the decoherence integral.
+    """Tolerances and panel budget for the body of the decoherence integral.
 
-    abs_tol=None selects the default 1e-12 * A * Omega^(s-1).
+    abs_tol=None selects the default 1e-12 * A * Omega^(s-1).  The head's
+    Gauss-Jacobi rule is fixed at 24 nodes (12 for its error estimate).
     """
 
     abs_tol: float | None = None
     rel_tol: float = 1e-9
     max_panels: int = 200_000
-    head_nodes: int = 24
 
 
 _HI_X, _HI_W = np.polynomial.legendre.leggauss(15)

@@ -125,11 +125,10 @@ def test_cancelling_geometry_matches_dense_reference(s, r, tau):
 
 def test_body_route_choice(monkeypatch):
     routes = []
-    for name in ("_fast_phase_factor", "_three_phase_factor"):
-        factor = getattr(bath_module, name)
-        monkeypatch.setattr(bath_module, name,
-                            lambda *a, _f=factor, _n=name: routes.append(_n) or _f(*a))
-    fast, three = ["_fast_phase_factor"], ["_three_phase_factor"]
+    factor = bath_module._filon_factor
+    monkeypatch.setattr(bath_module, "_filon_factor",
+                        lambda bath, geom, fast: routes.append(fast) or factor(bath, geom, fast))
+    fast, three = [True], [False]
     expect = {
         (0.5, 1.0): [],             # small: adaptive
         (0.0, 20.0): three,

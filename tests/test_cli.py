@@ -186,6 +186,15 @@ def test_beta_sources(tmp_path, capsys):
     assert all(ln.split(",")[6] == "bath" for ln in lines[1:])
 
 
+@pytest.mark.parametrize("command", ["oracle", "beta", "residual"])
+def test_noise_block_with_raw_and_geometry_keys_exits_one(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, command, gamma0=0.02, gammar=0.01, r=1.0, tau=1.0)
+    assert main([command, "--config", cfg, "--seed", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not both" in captured.err
+
+
 def test_residual_default_grid(capsys):
     code, out = run(capsys, "residual")
     assert code == 0

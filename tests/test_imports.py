@@ -76,7 +76,7 @@ def test_lazy_names_match_the_layers():
     assert corrqec._LAZY == {"bath": tuple(bath.__all__), "residual": tuple(residual.__all__)}
     modules = (errors, bath, dephasing, codes, oracle, residual)
     expected = {name for mod in modules for name in mod.__all__} | {"__version__"}
-    assert len(corrqec.__all__) == len(expected) == 64
+    assert len(corrqec.__all__) == len(expected) == 62
     assert set(corrqec.__all__) == expected
     assert set(corrqec.__all__) <= set(dir(corrqec))
     namespace = {}

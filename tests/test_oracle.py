@@ -1,10 +1,13 @@
 import math
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from corrqec import (
+    AlphaMatrix,
+    BitString,
     CssCodePair,
     DecoherencePair,
     DensityMatrix,
@@ -14,7 +17,6 @@ from corrqec import (
     apply_channel,
     apply_recovery,
     codewords,
-    correction_labels,
     dual,
     encode,
     fidelity_formula,
@@ -54,6 +56,26 @@ def _dense_recovery(rho: np.ndarray, pair: CssCodePair) -> np.ndarray:
         perm = idx ^ mu
         acc += v.T @ (masked[np.ix_(perm, perm)] @ v)
     return v @ acc @ v.T
+
+
+@dataclass(frozen=True)
+class PauliLabel:
+    """One recovery term: X on the support of x_part, Z on the support of z_part."""
+
+    x_part: BitString
+    z_part: BitString
+
+    def __post_init__(self):
+        if self.x_part.n != self.z_part.n:
+            raise DomainError("X and Z parts must have equal length")
+
+
+def correction_labels(pair: CssCodePair) -> list[PauliLabel]:
+    """All X_mu Z_nu with |mu| <= t and |nu| <= t, in (mu, nu) index order:
+    the exact term set of the recovery map, which apply_recovery batches."""
+    low = [int(v) for v in np.nonzero(index_weights(pair.n) <= pair.t)[0]]
+    return [PauliLabel(BitString(pair.n, m), BitString(pair.n, v))
+            for m in low for v in low]
 
 
 def _recovery_pairs(steane) -> list[CssCodePair]:
@@ -121,6 +143,45 @@ def test_to_density_checks_bytes_before_allocating():
         tracemalloc.stop()
     assert peak < 1 << 20
     assert x_polarized_state(12).n == 12
+
+
+def _trivial_pair(n: int) -> CssCodePair:
+    # C1 = {0, e_0}, C2 = {0}: k = 1 at any n, with nothing of size 2^n built
+    return CssCodePair.from_codes(LinearCode.from_rows(n, [1]), LinearCode.from_rows(n, []))
+
+
+def _zeros(n: int, dtype) -> np.ndarray:
+    # a 2^n x 2^n argument in one element of memory
+    return np.broadcast_to(np.zeros(1, dtype=dtype), (1 << n, 1 << n))
+
+
+# one call just past each qubit cap, as (function, arguments) built outside
+# the measured window
+_PAST_CAP = {
+    "residual_exact": lambda: (residual_exact, (
+        x_polarized_state(1), DecoherencePair(0.1, 0.05), _trivial_pair(11))),
+    "apply_recovery": lambda: (apply_recovery, (
+        DensityMatrix(11, _zeros(11, complex)), _trivial_pair(11))),
+    "fidelity_formula": lambda: (fidelity_formula, (
+        x_polarized_state(11), AlphaMatrix(11, _zeros(11, float)), _trivial_pair(11))),
+    "encode": lambda: (encode, ([1.0, 0.0], _trivial_pair(13))),
+    "random_state": lambda: (random_state, (15, np.random.default_rng(0))),
+    "x_polarized_state": lambda: (x_polarized_state, (15,)),
+    "codewords": lambda: (codewords, (_trivial_pair(15),)),
+}
+
+
+@pytest.mark.parametrize("name", list(_PAST_CAP))
+def test_qubit_caps_raise_before_allocating(name):
+    fn, args = _PAST_CAP[name]()
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeLimitError):
+            fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_encode_steane_logical_zero(steane):
