@@ -3,14 +3,18 @@
 Layers, bottom to top: bath (decoherence integrals over the spectral
 function), dephasing (the n-qubit channel and its coefficient transforms),
 codes (GF(2) machinery and random CSS pairs), oracle (exact small-n
-simulation), residual (code-averaged error, asymptotics, scalability),
-cli (deterministic CSV scans).
+simulation), residual (code-averaged error and its limits), scalability
+(noise budget and verdict as the geometry grows), cli (deterministic CSV
+scans).
 
 errors, dephasing, codes and oracle load with the package and need numpy
-only.  bath and residual, the two layers that import scipy.special (about
-0.35 s), load on first access to one of their names (PEP 562), so
-``corrqec.BathParams`` or ``from corrqec import *`` works as before and a
-caller that never touches them never pays for scipy.
+only.  bath, residual and scalability load on first access to one of their
+names (PEP 562), so ``corrqec.BathParams`` or ``from corrqec import *``
+works as before and a caller pays only for the layers it touches.  Of
+these, only residual imports scipy.special (about 0.35 s), for the
+binomial tail; bath and scalability need numpy alone unless the head rule
+or the tail bound of bath take one of their two scipy branches
+(s != 1 at T > 0, any s at T = 0, or s > 2).
 """
 
 import importlib
@@ -29,10 +33,12 @@ _LAZY = {
         "gamma_pair", "scaled_gamma", "scaling_identity_sides",
     ),
     "residual": (
-        "ResidualQuery", "ScalingScenario", "GammaBudget", "AsymptoticResidual",
-        "ScalabilityRow", "ScalabilityReport", "code_avg_residual",
-        "independent_residual", "asymptotic_residual", "gamma_budget",
-        "scalability_verdict", "geometric_grid",
+        "ResidualQuery", "AsymptoticResidual", "code_avg_residual",
+        "independent_residual", "asymptotic_residual",
+    ),
+    "scalability": (
+        "ScalingScenario", "GammaBudget", "ScalabilityRow", "ScalabilityReport",
+        "gamma_budget", "scalability_verdict", "geometric_grid",
     ),
 }
 _OWNER = {name: module for module, names in _LAZY.items() for name in names}
@@ -40,7 +46,7 @@ _OWNER = {name: module for module, names in _LAZY.items() for name in names}
 __version__ = "0.1.0"
 
 __all__ = [*errors.__all__, *_LAZY["bath"], *dephasing.__all__, *codes.__all__,
-           *oracle.__all__, *_LAZY["residual"], "__version__"]
+           *oracle.__all__, *_LAZY["residual"], *_LAZY["scalability"], "__version__"]
 
 
 def __getattr__(name):

@@ -9,10 +9,12 @@ only change wall time, never bytes, because rows are written in grid order.
 Exit status: 0 success, 1 domain/usage error, 2 numerical non-convergence
 (or an oracle/formula disagreement beyond tolerance).
 
-The bath and residual names, whose modules import scipy.special, are bound
-only by the subcommands that call them (gamma, fig1, scalability, residual,
-and oracle or beta given r or tau), so oracle, codes and beta otherwise run
-on numpy alone.
+The bath, residual and scalability names are bound layer by layer, only by
+the subcommands that call them: gamma binds bath; scalability binds
+scalability, which loads bath; fig1 and residual bind residual; oracle and
+beta bind bath only when given r or tau.  Only residual imports
+scipy.special, so at the default s = 1 and T > 0 every subcommand but fig1
+and residual runs on numpy alone.
 """
 from __future__ import annotations
 
@@ -36,39 +38,35 @@ from .quadrature import QuadratureConfig
 _FIG1_GAMMAR = "0.01,0.005,0.0025,0.00125,0"
 _FIG1_TGRID = "1,2,5,10,20,50,100,200,350,500"
 
-# what this module uses of the two layers that import scipy.special
+# what this module uses of the lazily loaded layers
 _LAYER_NAMES = {
     "bath": ("BathParams", "GeometryParams", "gamma_detailed", "gamma_pair",
              "scaling_identity_sides"),
-    "residual": ("ResidualQuery", "ScalingScenario", "asymptotic_residual",
-                 "code_avg_residual", "geometric_grid", "independent_residual",
-                 "scalability_row", "scalability_summary"),
+    "residual": ("ResidualQuery", "asymptotic_residual", "code_avg_residual",
+                 "independent_residual"),
+    "scalability": ("ScalingScenario", "geometric_grid", "scalability_row",
+                    "scalability_summary"),
 }
-_layers_bound = False
 
 
-def _bind_layers() -> None:
-    """Bind the _LAYER_NAMES as globals of this module, once per process.
+def _bind(layer: str) -> None:
+    """Bind the _LAYER_NAMES of one layer as globals of this module.
 
     Every function that uses them calls this first, worker tasks included:
     a spawn or forkserver worker imports this module afresh.  A name that
     is already bound, say wrapped through setattr by a profiler, is kept.
     """
-    global _layers_bound
-    if _layers_bound:
-        return
-    for module, names in _LAYER_NAMES.items():
-        mod = importlib.import_module(f".{module}", __package__)
-        for name in names:
-            globals().setdefault(name, getattr(mod, name))
-    _layers_bound = True
+    mod = importlib.import_module(f".{layer}", __package__)
+    for name in _LAYER_NAMES[layer]:
+        globals().setdefault(name, getattr(mod, name))
 
 
 def __getattr__(name):
     # PEP 562: getattr, hasattr and monkeypatching see the layer names too
-    if any(name in names for names in _LAYER_NAMES.values()):
-        _bind_layers()
-        return globals()[name]
+    for layer, names in _LAYER_NAMES.items():
+        if name in names:
+            _bind(layer)
+            return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -169,7 +167,7 @@ def _resolve_seed(args, settings: Settings, required: bool):
 
 
 def _bath_from(settings: Settings) -> BathParams:
-    _bind_layers()
+    _bind("bath")
     return BathParams(settings.get("coupling", float, 1.0),
                       settings.get("s", float, 1.0),
                       settings.get("omega", float, 10.0),
@@ -208,7 +206,7 @@ def _pmap(fn, payloads, jobs: int) -> list:
 # ---------------------------------------------------------------- gamma
 
 def _gamma_task(payload):
-    _bind_layers()
+    _bind("bath")
     bath, r, tau, quad, scale = payload
     est0 = gamma_detailed(bath, GeometryParams(0.0, tau), quad)
     estr = est0 if r == 0.0 else gamma_detailed(bath, GeometryParams(r, tau), quad)
@@ -237,7 +235,7 @@ def cmd_gamma(args, settings: Settings, tol) -> int:
 # ---------------------------------------------------------------- fig1
 
 def _fig1_task(payload):
-    _bind_layers()
+    _bind("residual")
     pair, t, q, tol = payload
     n = round(t / q)
     kwargs = {"rel_tol": tol} if tol is not None else {}
@@ -337,13 +335,13 @@ def cmd_codes(args, settings: Settings, tol) -> int:
 # ---------------------------------------------------------------- scalability
 
 def _scal_task(payload):
-    _bind_layers()
+    _bind("scalability")
     scen, nv, quad = payload
     return scalability_row(scen, nv, quad)
 
 
 def cmd_scalability(args, settings: Settings, tol) -> int:
-    _bind_layers()
+    _bind("scalability")
     quad = _quad_for(tol)
     scen = ScalingScenario(
         s=settings.get("s", float, 1.0),
@@ -400,7 +398,7 @@ def cmd_beta(args, settings: Settings, tol) -> int:
 # ---------------------------------------------------------------- residual
 
 def _residual_task(payload):
-    _bind_layers()
+    _bind("residual")
     n, t, pair, source, tol = payload
     kwargs = {"rel_tol": tol} if tol is not None else {}
     query = ResidualQuery(n, t, pair)

@@ -1,33 +1,44 @@
-"""Code-averaged residual error at large n and the scalability analysis.
+"""Code-averaged residual error at large n.
 
 The central object is the average over random CSS pairs of the residual
 error after correcting t dephasing errors: a Gaussian x-integral over the
 binomial tail of the flip weight p_x.  It has one numerical route:
 adaptive Gauss-Legendre panels (quadrature.integrate) seeded where p_x
 crosses the binomial step, accurate to max(abs_tol, rel_tol * value).  The
-independent limit, the n -> inf asymptote, the noise budget from inverting
-that asymptote, and the verdict for geometry growing as n^y all live here.
+independent limit and the n -> inf asymptote live here too.  The noise
+budget and the scalability verdict, which need no binomial tail and so no
+scipy, are in scalability; this module still resolves their names.
 """
 from __future__ import annotations
 
+import importlib
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
-from scipy.special import betainc, erfc, erfcinv
+from scipy.special import betainc, erfc
 
-from .bath import BathParams, GammaEstimate, GeometryParams, QuadratureConfig, gamma_detailed
 from .dephasing import DecoherencePair, p_of_x
 from .errors import ConvergenceError, DomainError
 from .quadrature import integrate, uniform_edges
 
 __all__ = [
-    "ResidualQuery", "ScalingScenario", "GammaBudget", "AsymptoticResidual",
-    "ScalabilityRow", "ScalabilityReport", "code_avg_residual",
-    "independent_residual", "asymptotic_residual", "gamma_budget",
-    "scalability_verdict", "geometric_grid",
+    "ResidualQuery", "AsymptoticResidual", "code_avg_residual",
+    "independent_residual", "asymptotic_residual",
 ]
+
+# budget and verdict names that moved to scalability; corrqec.residual.<name>
+# still resolves them, loading scalability and bath only when asked
+_MOVED = ("GammaBudget", "ScalabilityReport", "ScalabilityRow", "ScalingScenario",
+          "gamma_budget", "geometric_grid", "scalability_row", "scalability_summary",
+          "scalability_verdict")
+
+
+def __getattr__(name):
+    if name in _MOVED:
+        return getattr(importlib.import_module(".scalability", __package__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -166,132 +177,3 @@ def asymptotic_residual(q: float, pair: DecoherencePair) -> AsymptoticResidual:
             break
         k += 1
     return AsymptoticResidual(min(total, 1.0), approx)
-
-
-@dataclass(frozen=True)
-class GammaBudget:
-    """Largest Gamma_r compatible with residual <= b * n^(-mu) at ratio q.
-
-    gamma_max is the exact erfc inversion; c0 restates it in the form
-    q / (c0 + mu ln n).  A vacuous budget (b * n^(-mu) >= 1) is flagged
-    unconstrained with gamma_max = inf.
-    """
-
-    gamma_max: float
-    c0: float
-    unconstrained: bool
-
-
-def gamma_budget(n: float, q: float, mu: float, b: float) -> GammaBudget:
-    if n < 2:
-        raise DomainError(f"need n >= 2, got {n}")
-    if not 0.0 < q < 1.0:
-        raise DomainError(f"q must lie in (0, 1), got {q}")
-    if mu < 0.0 or b <= 0.0:
-        raise DomainError("need mu >= 0 and b > 0")
-    target = b * float(n) ** (-mu)
-    if target >= 1.0:
-        return GammaBudget(math.inf, math.nan, True)
-    z = float(erfcinv(target))
-    gamma_max = q / (z * z)
-    return GammaBudget(gamma_max, z * z - mu * math.log(n), False)
-
-
-@dataclass(frozen=True)
-class ScalingScenario:
-    """Geometry growing as (n/n0)^y against an error budget b * n^(-mu).
-
-    The coupling amplitude of the bath enters through `coupling` (the
-    prefactor of the spectral function); everything else mirrors the bath
-    and budget parameters directly.
-    """
-
-    s: float
-    y: float
-    r0: float
-    tau0: float
-    n0: float
-    T: float
-    Omega: float
-    q: float
-    mu: float
-    b: float
-    coupling: float = 1.0
-
-    def __post_init__(self):
-        if self.y < 1.0 / 3.0 - 1e-12:
-            raise DomainError(f"growth exponent must be >= 1/3, got {self.y}")
-        if self.mu <= 0.0 or self.b <= 0.0:
-            raise DomainError("need mu > 0 and b > 0")
-        if not 0.0 < self.q < 1.0:
-            raise DomainError(f"q must lie in (0, 1), got {self.q}")
-        if self.n0 < 2:
-            raise DomainError("base size n0 must be >= 2")
-
-    @property
-    def bath(self) -> BathParams:
-        return BathParams(self.coupling, self.s, self.Omega, self.T)
-
-
-@dataclass(frozen=True)
-class ScalabilityRow:
-    n: float
-    a: float
-    gamma_r: float
-    gamma_err: float
-    budget: float
-    satisfied: bool
-
-
-@dataclass(frozen=True)
-class ScalabilityReport:
-    rows: tuple[ScalabilityRow, ...]
-    verdict: str
-    crossover_n: float | None
-
-
-def scalability_row(scen: ScalingScenario, n: float,
-                    quad: QuadratureConfig | None = None) -> ScalabilityRow:
-    """One grid point: a = (n/n0)^y, Gamma_r at geometry (a r0, a tau0),
-    budget from gamma_budget, and the satisfied flag."""
-    a = (float(n) / scen.n0) ** scen.y
-    if scen.coupling == 0.0:
-        est = GammaEstimate(0.0, 0.0)
-    else:
-        est = gamma_detailed(scen.bath,
-                             GeometryParams(a * scen.r0, a * scen.tau0), quad)
-    bud = gamma_budget(n, scen.q, scen.mu, scen.b)
-    return ScalabilityRow(float(n), a, est.value, est.error_estimate,
-                          bud.gamma_max, est.value < bud.gamma_max)
-
-
-def scalability_summary(scen: ScalingScenario,
-                        rows: Sequence[ScalabilityRow]) -> ScalabilityReport:
-    """Classify evaluated rows.  The verdict follows the asymptotic law
-    (scalable exactly when s > 2, or trivially when the coupling vanishes);
-    the grid supplies the first violating n as evidence when s <= 2."""
-    ordered = tuple(sorted(rows, key=lambda row: row.n))
-    if not ordered:
-        raise DomainError("empty n grid")
-    crossover = next((row.n for row in ordered if not row.satisfied), None)
-    if scen.coupling == 0.0:
-        verdict = "scalable (no noise)"
-    elif scen.s > 2.0:
-        verdict = "scalable"
-    else:
-        verdict = "not scalable"
-    return ScalabilityReport(ordered, verdict, crossover)
-
-
-def scalability_verdict(scen: ScalingScenario, n_grid: Sequence[float],
-                        quad: QuadratureConfig | None = None) -> ScalabilityReport:
-    """Evaluate the budget condition along n_grid and classify the scenario."""
-    return scalability_summary(
-        scen, [scalability_row(scen, nv, quad) for nv in n_grid])
-
-
-def geometric_grid(lo: float, hi: float, points: int) -> list[float]:
-    """Log-spaced grid endpoints included; the usual scan axis for verdicts."""
-    if not (lo > 0 and hi > lo and points >= 2):
-        raise DomainError("need 0 < lo < hi and points >= 2")
-    return [float(v) for v in np.geomspace(lo, hi, points)]

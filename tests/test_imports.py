@@ -1,8 +1,9 @@
 """Which scipy modules a process loads, checked in fresh interpreters.
 
 scipy.special costs about 0.35 s and scipy.linalg about 0.1 s of a CLI
-process's start; only the bath and residual layers need the first, and
-nothing needs the second.
+process's start.  Only the residual layer imports the first, for the
+binomial tail; bath imports it inside two branches that the default
+s = 1, T > 0 bath does not take.  Nothing needs the second.
 """
 import os
 import subprocess
@@ -12,7 +13,7 @@ import textwrap
 import pytest
 
 import corrqec
-from corrqec import bath, codes, dephasing, errors, oracle, residual
+from corrqec import bath, codes, dephasing, errors, oracle, residual, scalability
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(corrqec.__file__)))
 
@@ -72,9 +73,35 @@ def test_cli_layer_names_patchable_and_gamma_loads_no_scipy_linalg(tmp_path):
     assert out.split() == ["False", "1", "5"]
 
 
+def test_gamma_and_scalability_load_no_scipy_special(tmp_path):
+    # one interpreter: the bath import, then gamma and scalability (in this
+    # process and with two workers), then fig1 and residual, which need the
+    # binomial tail
+    (tmp_path / "small.ini").write_text(
+        "[fig1]\ngammar_list = 0.005\nt_grid = 1,2\n[residual]\nn_grid = 250\n",
+        encoding="utf-8")
+    out = run_python("""
+        import sys
+        import corrqec.bath
+        print("bath", any(name.split(".")[0] == "scipy" for name in sys.modules))
+        from corrqec import cli
+        runs = (("gamma",), ("scalability",), ("scalability", "--jobs", "2"),
+                ("fig1",), ("residual",))
+        for i, run in enumerate(runs):
+            assert cli.main([*run, "--config", "small.ini", "--out", f"{i}.csv"]) == 0
+            print(" ".join(run), "scipy.special" in sys.modules)
+    """, tmp_path)
+    assert [line for line in out.split("\n") if not line.startswith("verdict")] == [
+        "bath False", "gamma False", "scalability False", "scalability --jobs 2 False",
+        "fig1 True", "residual True", ""]
+    for i in range(5):
+        assert (tmp_path / f"{i}.csv").read_text(encoding="ascii").count("\n") > 1
+
+
 def test_lazy_names_match_the_layers():
-    assert corrqec._LAZY == {"bath": tuple(bath.__all__), "residual": tuple(residual.__all__)}
-    modules = (errors, bath, dephasing, codes, oracle, residual)
+    assert corrqec._LAZY == {"bath": tuple(bath.__all__), "residual": tuple(residual.__all__),
+                             "scalability": tuple(scalability.__all__)}
+    modules = (errors, bath, dephasing, codes, oracle, residual, scalability)
     expected = {name for mod in modules for name in mod.__all__} | {"__version__"}
     assert len(corrqec.__all__) == len(expected) == 62
     assert set(corrqec.__all__) == expected
@@ -83,6 +110,12 @@ def test_lazy_names_match_the_layers():
     exec("from corrqec import *", namespace)
     assert namespace["gamma_pair"] is bath.gamma_pair
     assert namespace["code_avg_residual"] is residual.code_avg_residual
+    assert namespace["gamma_budget"] is scalability.gamma_budget
+    # the budget and verdict names still resolve through residual
+    for name in residual._MOVED:
+        assert getattr(residual, name) is getattr(scalability, name)
     assert expected <= set(namespace)
     with pytest.raises(AttributeError):
         corrqec.no_such_name  # noqa: B018
+    with pytest.raises(AttributeError):
+        residual.no_such_name  # noqa: B018
