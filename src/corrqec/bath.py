@@ -15,7 +15,8 @@ the integrand, the head and the Filon slow factors.  The body takes one of
 three routes, chosen from the geometry (details and thresholds in
 gamma_detailed):
 
-- adaptive Gauss-Legendre panels that resolve every oscillation, at small
+- adaptive Gauss-Kronrod panels (15-point Kronrod values, errors against
+  the embedded 7-point Gauss rule) that resolve every oscillation, at small
   geometries where that is cheapest;
 - a Filon rule once resolving would be too costly: the oscillating factors
   are written as exact phases and integrated exactly against a per-panel
@@ -538,7 +539,7 @@ def gamma_detailed(bath: BathParams, geom: GeometryParams,
     cancels where r > 4 max(tau, 1/Omega) (like (r/tau)^2) or
     0 < r < tau/100 (like tau/r); call such geometries cancelling.
 
-    - Adaptive Gauss-Legendre while N <= 1,000, or N <= 30,000 for
+    - Adaptive Gauss-Kronrod while N <= 1,000, or N <= 30,000 for
       cancelling geometries.
     - Fast-phase Filon beyond that for cancelling geometries whose slower
       oscillation, at min(r, tau), alone needs at most 30,000 quarter
@@ -557,10 +558,12 @@ def gamma_detailed(bath: BathParams, geom: GeometryParams,
       118 at Omega = 10.
 
     Error contract: the estimate is the head's 12- vs 24-node difference,
-    plus the body's (adaptive: summed 15- vs 7-point panel differences;
-    Filon: the change under the last halving of every panel, which is the
-    error of the coarser pass and overstates that of the returned one,
-    plus a bound on the rounding error), plus a bound on the tail beyond
+    plus the body's (adaptive: summed |K15 - G7| panel differences, the
+    error of the embedded 7-point Gauss rule, which overstates that of the
+    returned 15-point Kronrod value; Filon: the change under the last
+    halving of every panel, which is the error of the coarser pass and
+    overstates that of the returned one, plus a bound on the rounding
+    error), plus a bound on the tail beyond
     W, and at least 1e-15 |value|, about 4.5 eps: the adaptive body sums
     some 10^4 integrand values, each rounded by a few ulps, and on smooth
     geometries its truncation estimate falls below that (at s = 2, T = 1,

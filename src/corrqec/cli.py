@@ -24,7 +24,6 @@ import importlib
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -199,6 +198,8 @@ def _pmap(fn, payloads, jobs: int) -> list:
     workers = min(jobs, len(items), os.cpu_count() or 1)
     if workers <= 1:
         return [fn(p) for p in items]
+    # loads multiprocessing, which a serial run never needs
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 

@@ -8,9 +8,10 @@ the sigma_z product basis, with
 Its Pauli-Z representation has coefficient matrix alpha = 4^-n H e^-C H
 (H the +-1 Walsh kernel), whose diagonal depends on the label weight only
 and is also available as the Gaussian average beta(n, w).  That average
-has one numerical route: log_beta, adaptive Gauss-Legendre panels
-(quadrature.integrate) on the log-shifted integrand, accurate to log_tol
-in absolute log-space error.
+has one numerical route: log_beta, adaptive Gauss-Kronrod panels
+(quadrature.integrate, K15 with its embedded G7 for the error estimate)
+on the log-shifted integrand, accurate to log_tol in absolute log-space
+error.
 """
 from __future__ import annotations
 
@@ -258,16 +259,16 @@ def log_beta(n: int, w: int, pair: DecoherencePair, *,
 
     With phi(x) the log of the Gaussian-weighted integrand and M = phi(x0)
     its largest sampled value, exp(phi - M) is integrated on adaptive
-    Gauss-Legendre panels (quadrature.integrate) over x >= 0 and doubled,
+    Gauss-Kronrod panels (quadrature.integrate) over x >= 0 and doubled,
     phi being even; it is formed from differences to x0, so it neither
     underflows nor loses digits however deep the tail.  The range is
     [0, pi/2 + sqrt(80 Gamma_r)], cut further to where the Gaussian factor
     alone is above e^-80 times the largest sampled integrand, and starts
     as panels no wider than sqrt(Gamma_r)/2 or pi/16.  The returned value
     is within log_tol (absolute, in log space) by the panel error
-    estimate, on top of the rounding of M itself (about 1e-16 |M|);
-    ConvergenceError if the panel budget runs out.  Gamma_r = 0 is the
-    closed form.
+    estimate |K15 - G7|, which overstates the error of the K15 value, on
+    top of the rounding of M itself (about 1e-16 |M|); ConvergenceError
+    if the panel budget runs out.  Gamma_r = 0 is the closed form.
     """
     if n < 1 or not 0 <= w <= n:
         raise DomainError(f"invalid (n, w) = ({n}, {w})")

@@ -1,3 +1,5 @@
+import concurrent.futures
+
 import pytest
 
 from corrqec import cli
@@ -285,7 +287,8 @@ def test_jobs_clamped_to_items_and_cores(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    # _pmap imports the pool class from concurrent.futures when it starts one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
     assert cli._pmap(abs, [-1, -2, -3, -4, -5], 10_000) == [1, 2, 3, 4, 5]
     assert cli._pmap(abs, [-1, -2], 10_000) == [1, 2]

@@ -1,9 +1,10 @@
-"""Which scipy modules a process loads, checked in fresh interpreters.
+"""Which costly modules a process loads, checked in fresh interpreters.
 
 scipy.special costs about 0.35 s and scipy.linalg about 0.1 s of a CLI
 process's start.  Only the residual layer imports the first, for the
 binomial tail; bath imports it inside two branches that the default
-s = 1, T > 0 bath does not take.  Nothing needs the second.
+s = 1, T > 0 bath does not take.  Nothing needs the second.  The process
+pool (multiprocessing) loads only when --jobs starts one.
 """
 import os
 import subprocess
@@ -96,6 +97,23 @@ def test_gamma_and_scalability_load_no_scipy_special(tmp_path):
         "fig1 True", "residual True", ""]
     for i in range(5):
         assert (tmp_path / f"{i}.csv").read_text(encoding="ascii").count("\n") > 1
+
+
+def test_serial_cli_loads_no_process_pool_and_package_no_polynomials(tmp_path):
+    # the pool machinery loads only when --jobs starts a pool; quadrature
+    # types in its rules, so only bath's Filon rule loads numpy.polynomial
+    out = run_python("""
+        import sys
+        import corrqec
+        print("package", "numpy.polynomial" in sys.modules)
+        from corrqec import cli
+        pool = ("concurrent.futures.process", "multiprocessing")
+        print("cli", any(name in sys.modules for name in pool))
+        assert cli.main(["gamma", "--jobs", "1", "--out", "g.csv"]) == 0
+        print("gamma", any(name in sys.modules for name in pool))
+    """, tmp_path)
+    assert out.split("\n") == ["package False", "cli False", "gamma False", ""]
+    assert (tmp_path / "g.csv").read_text(encoding="ascii").count("\n") > 1
 
 
 def test_lazy_names_match_the_layers():

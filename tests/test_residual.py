@@ -150,13 +150,31 @@ def trapezoid_code_avg(n: int, t: int, g0: float, gr: float) -> float:
     return float(2.0 * (x[1] - x[0]) * f.sum() / math.sqrt(math.pi * gr))
 
 
+def sweep_draws(count: int, seed: int) -> list[tuple[int, int, float, float]]:
+    """(n, t, gamma0, gammaR) over the code average's working range.
+
+    n log-uniform in 1e2..1e6, gammaR log-uniform in 1e-4..0.5, gamma0 =
+    gammaR (1 + U(0, 1)) or, with probability 0.1, gamma0 = gammaR; q in
+    {0.02, 0.05, 0.1} and t = round(q n) - 1.
+    """
+    rng = np.random.default_rng(seed)
+    draws = []
+    for _ in range(count):
+        n = round(10.0 ** rng.uniform(2.0, 6.0))
+        gr = 10.0 ** rng.uniform(-4.0, math.log10(0.5))
+        g0 = gr if rng.random() < 0.1 else gr * (1.0 + rng.uniform())
+        t = round(float(rng.choice([0.02, 0.05, 0.1])) * n) - 1
+        draws.append((n, t, g0, gr))
+    return draws
+
+
 @pytest.mark.parametrize("n,t,g0,gr", [
     (1000000, 19999, 0.0856448, 0.0436722),
     (26008, 2600, 0.19356779456090945, 0.10519023730649839),
     # p_x never reaches (t+1)/(n+1), but the tail dips near x = k pi
     (1718, 33, 0.18135660867605868, 0.11626814333774495),
     (4000, 199, 0.01, 0.01),
-])
+] + sweep_draws(30, seed=4101))
 def test_code_avg_matches_dense_trapezoid(n, t, g0, gr):
     got = code_avg_residual(ResidualQuery(n, t, DecoherencePair(g0, gr)))
     assert got == pytest.approx(trapezoid_code_avg(n, t, g0, gr), rel=1e-6, abs=1e-12)
