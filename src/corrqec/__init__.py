@@ -7,14 +7,12 @@ simulation), residual (code-averaged error and its limits), scalability
 (noise budget and verdict as the geometry grows), cli (deterministic CSV
 scans).
 
-errors, dephasing, codes and oracle load with the package and need numpy
-only.  bath, residual and scalability load on first access to one of their
-names (PEP 562), so ``corrqec.BathParams`` or ``from corrqec import *``
-works as before and a caller pays only for the layers it touches.  Of
-these, only residual imports scipy.special (about 0.35 s), for the
-binomial tail; bath and scalability need numpy alone unless the head rule
-or the tail bound of bath take one of their two scipy branches
-(s != 1 at T > 0, any s at T = 0, or s > 2).
+Every layer needs numpy and the math module alone; scipy is used by the
+tests only, as an independent check.  errors, dephasing, codes and oracle
+load with the package.  bath, residual and scalability load on first
+access to one of their names (PEP 562), so ``corrqec.BathParams`` or
+``from corrqec import *`` works as before and a caller pays only for the
+layers it touches.
 """
 
 import importlib

@@ -202,15 +202,16 @@ def _jacobi(n: int, alpha: int, beta: float, x: np.ndarray) -> np.ndarray:
 def _jacobi_rule(m: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
     """m-node Gauss rule for the weight (1 + x)^beta on [-1, 1].
 
-    The algorithm of scipy.special.roots_jacobi(m, 0, beta), step for step,
-    and bit-equal to it for even m: Golub-Welsch eigenvalues of the Jacobi
-    matrix, one Newton step, weights from log-normalised P_(m-1) and P_m'.
+    The algorithm of scipy.special.roots_jacobi(m, 0, beta), step for step:
+    Golub-Welsch eigenvalues of the Jacobi matrix, one Newton step, weights
+    from log-normalised P_(m-1) and P_m', scaled to the total mass.
     numpy's eigvalsh replaces scipy.linalg, and the polynomials take
     scipy's three-term recurrences (_legendre, _jacobi), so no scipy module
-    loads.  Only the total mass 2^(beta+1) B(1, beta+1) for beta != 0 comes
-    from scipy.special.beta, imported here, because 2^(beta+1)/(beta+1) is
-    not the same double.  beta = 0 takes the Legendre recurrence and
-    symmetrises the rule, as scipy does.
+    loads.  The nodes are bit-equal to scipy's for even m, and so are the
+    weights at beta = 0, which takes the Legendre recurrence and
+    symmetrises the rule, as scipy does.  For beta != 0 the mass is the
+    exact 2^(beta+1)/(beta+1), where scipy forms 2^(beta+1) B(1, beta+1),
+    and the weights differ from scipy's by at most 2 ulp.
     """
     k = np.arange(1, m, dtype=float)
     if beta == 0.0:
@@ -222,15 +223,13 @@ def _jacobi_rule(m: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
         def dp(n, x):
             return (-n * x * p(n, x) + n * p(n - 1, x)) / (1 - x ** 2)
     else:
-        from scipy.special import beta as beta_function
-
         b = beta
         diag = np.empty(m)
         diag[0] = b / (2 + b)
         diag[1:] = b * b / ((2.0 * k + b) * (2.0 * k + b + 2))
         off = (2.0 / (2.0 * k + b) * np.sqrt(k * (k + b) / (2 * k + b + 1))
                * np.where(k == 1, 1.0, np.sqrt(k * (k + b) / (2.0 * k + b - 1))))
-        mu0 = 2.0 ** (b + 1) * beta_function(1.0, b + 1)
+        mu0 = 2.0 ** (b + 1) / (b + 1)
 
         def p(n, x):
             return _jacobi(n, 0, b, x)
@@ -290,18 +289,45 @@ def _head_integral(bath: BathParams, geom: GeometryParams, wc: float) -> tuple[f
     return vals[1], abs(vals[1] - vals[0])
 
 
+def _upper_gamma(a: float, x: float) -> float:
+    """Gamma(a, x), the upper incomplete gamma function, for x > a + 1.
+
+    Legendre's continued fraction, summed by the modified Lentz method
+    until a factor is within eps of 1; for x > a + 1 its denominators stay
+    positive.  At x = 40 and 1 < a < 2 it takes 5 or 6 steps.
+    """
+    b = x + 1.0 - a
+    c = math.inf
+    d = 1.0 / b
+    h = d
+    i = 0
+    while True:
+        i += 1
+        an = -i * (i - a)
+        b += 2.0
+        d = 1.0 / (an * d + b)
+        c = b + an / c
+        delta = c * d
+        h *= delta
+        if abs(delta - 1.0) <= _EPS:
+            return math.exp(a * math.log(x) - x) * h
+
+
 def _tail_bound(bath: BathParams, W: float) -> float:
-    # |1-cos| <= 2, |sinc| <= 1, coth(w/2T) <= 1 + 2T/w <= 1 + 2T/W
+    """Bound on the integrand's integral over [W, inf).
+
+    |1-cos| <= 2, |sinc| <= 1, coth(w/2T) <= 1 + 2T/w <= 1 + 2T/W, so it is
+    at most the factor times int_W^inf w^(s-2) e^(-w/Omega) dw, which for
+    s <= 2 is at most W^(s-2) Omega e^(-W/Omega) and for s > 2 is
+    Omega^(s-1) Gamma(s-1, W/Omega), with W/Omega >= 40 > s.
+    """
     factor = 2.0 * bath.A
     if bath.T > 0.0:
         factor *= 1.0 + 2.0 * bath.T / W
     if bath.s <= 2.0:
         integ = W ** (bath.s - 2.0) * bath.Omega * math.exp(-W / bath.Omega)
     else:
-        from scipy.special import gammaincc
-
-        integ = bath.Omega ** (bath.s - 1.0) * math.gamma(bath.s - 1.0) \
-            * gammaincc(bath.s - 1.0, W / bath.Omega)
+        integ = bath.Omega ** (bath.s - 1.0) * _upper_gamma(bath.s - 1.0, W / bath.Omega)
     return factor * integ
 
 
@@ -310,14 +336,26 @@ _FILON_DEG = 15
 _EPS = float(np.finfo(float).eps)
 
 
+# the non-negative nodes and their weights of numpy.polynomial.legendre
+# leggauss(15), as repr prints them, so numpy.polynomial need not load
+_GL15_X = (0.0, 0.20119409399743451, 0.3941513470775634, 0.5709721726085388,
+           0.7244177313601701, 0.8482065834104272, 0.9372733924007058, 0.9879925180204854)
+_GL15_W = (0.2025782419255613, 0.1984314853271116, 0.1861610000155622, 0.16626920581699398,
+           0.13957067792615444, 0.10715922046717141, 0.0703660474881084, 0.030753241996117203)
+
+
 @functools.cache
 def _filon_matrix() -> tuple[np.ndarray, np.ndarray]:
     # Gauss values -> Legendre coefficients of the interpolant, and the nodes;
     # read-only, because every pass shares them
-    x, w = np.polynomial.legendre.leggauss(_FILON_DEG)
-    V = np.polynomial.legendre.legvander(x, _FILON_DEG - 1)
+    x = np.array([*(-v for v in _GL15_X[:0:-1]), *_GL15_X])
+    w = np.array([*_GL15_W[:0:-1], *_GL15_W])
+    # P_i(x) by the recurrence of numpy's legvander, in its operation order
+    V = [np.ones_like(x), x]
+    for i in range(2, _FILON_DEG):
+        V.append((V[-1] * x * (2 * i - 1) - V[-2] * (i - 1)) / i)
     n = np.arange(_FILON_DEG)
-    B = (n + 0.5)[:, None] * (V.T * w)
+    B = (n + 0.5)[:, None] * (np.array(V) * w)
     B.flags.writeable = x.flags.writeable = False
     return B, x
 

@@ -12,9 +12,8 @@ Exit status: 0 success, 1 domain/usage error, 2 numerical non-convergence
 The bath, residual and scalability names are bound layer by layer, only by
 the subcommands that call them: gamma binds bath; scalability binds
 scalability, which loads bath; fig1 and residual bind residual; oracle and
-beta bind bath only when given r or tau.  Only residual imports
-scipy.special, so at the default s = 1 and T > 0 every subcommand but fig1
-and residual runs on numpy alone.
+beta bind bath only when given r or tau.  No layer imports scipy, so every
+subcommand runs on numpy alone, on any bath.
 """
 from __future__ import annotations
 

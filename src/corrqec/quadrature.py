@@ -11,7 +11,7 @@ G7's 13.
 
 QuadratureConfig, the tolerances and budgets of the decoherence integral,
 lives here rather than in bath so that a caller can build one without
-loading scipy; bath re-exports it.
+loading bath; bath re-exports it.
 """
 from __future__ import annotations
 

@@ -4,8 +4,7 @@ The budget is the largest Gamma_r whose large-n residual, the one-term
 asymptote erfc(sqrt(q / Gamma_r)), stays within b * n^(-mu); inverting it
 needs erfc^-1 alone.  The verdict compares that budget with the bath's
 Gamma_r at geometry (a r0, a tau0), a = (n/n0)^y, along an n grid.  This
-layer needs numpy and the bath only: the binomial tail, and with it
-scipy.special, stays in residual.
+layer needs numpy and the bath only; the binomial tail stays in residual.
 """
 from __future__ import annotations
 

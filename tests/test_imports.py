@@ -1,10 +1,10 @@
 """Which costly modules a process loads, checked in fresh interpreters.
 
-scipy.special costs about 0.35 s and scipy.linalg about 0.1 s of a CLI
-process's start.  Only the residual layer imports the first, for the
-binomial tail; bath imports it inside two branches that the default
-s = 1, T > 0 bath does not take.  Nothing needs the second.  The process
-pool (multiprocessing) loads only when --jobs starts one.
+scipy is a test-only dependency: scipy.special would cost about 0.35 s and
+scipy.linalg about 0.1 s of a CLI process's start, and the library needs
+neither.  A fresh interpreter whose import of scipy raises still runs the
+package and every subcommand, on every bath branch.  The process pool
+(multiprocessing) loads only when --jobs starts one.
 """
 import os
 import subprocess
@@ -76,8 +76,8 @@ def test_cli_layer_names_patchable_and_gamma_loads_no_scipy_linalg(tmp_path):
 
 def test_gamma_and_scalability_load_no_scipy_special(tmp_path):
     # one interpreter: the bath import, then gamma and scalability (in this
-    # process and with two workers), then fig1 and residual, which need the
-    # binomial tail
+    # process and with two workers), then fig1 and residual, which sum the
+    # binomial tail in numpy
     (tmp_path / "small.ini").write_text(
         "[fig1]\ngammar_list = 0.005\nt_grid = 1,2\n[residual]\nn_grid = 250\n",
         encoding="utf-8")
@@ -94,14 +94,65 @@ def test_gamma_and_scalability_load_no_scipy_special(tmp_path):
     """, tmp_path)
     assert [line for line in out.split("\n") if not line.startswith("verdict")] == [
         "bath False", "gamma False", "scalability False", "scalability --jobs 2 False",
-        "fig1 True", "residual True", ""]
+        "fig1 False", "residual False", ""]
     for i in range(5):
         assert (tmp_path / f"{i}.csv").read_text(encoding="ascii").count("\n") > 1
 
 
+def test_package_and_every_subcommand_run_without_scipy(tmp_path):
+    # a meta-path finder makes any import of scipy raise; gamma then takes
+    # the head rule's beta != 0 branch (s = 1.5, and T = 0) and the tail
+    # bound's s > 2 branch (s = 2.5), and scalability the Filon body, whose
+    # Legendre rule is typed in, so numpy.polynomial does not load either
+    (tmp_path / "small.ini").write_text(
+        "[fig1]\ngammar_list = 0.005,0\nt_grid = 1,20\n"
+        "[oracle]\nstates = 2\n[codes]\nn = 10\nk = 1\nsamples = 4\n[beta]\nn = 8\n"
+        "[residual]\nn_grid = 250,20000\n[scalability]\nb = 1.0\n",
+        encoding="utf-8")
+    for name, text in (("s15", "s = 1.5\n"), ("s25", "s = 2.5\nr_grid = 0,0.5\n"),
+                       ("cold", "temp = 0\n")):
+        (tmp_path / f"{name}.ini").write_text(f"[gamma]\n{text}", encoding="utf-8")
+    out = run_python("""
+        import sys
+
+        class NoScipy:
+            def find_spec(self, name, path=None, target=None):
+                if name.split(".")[0] == "scipy":
+                    raise ImportError(f"blocked import of {name}")
+
+        sys.meta_path.insert(0, NoScipy())
+        try:
+            import scipy
+        except ImportError:
+            print("blocked")
+        import corrqec
+        namespace = {}
+        exec("from corrqec import *", namespace)
+        from corrqec import cli
+        runs = [(command, "small") for command in
+                ("gamma", "fig1", "oracle", "codes", "scalability", "beta", "residual")]
+        runs += [("gamma", "s15"), ("gamma", "s25"), ("gamma", "cold")]
+        for command, config in runs:
+            code = cli.main([command, "--config", config + ".ini", "--seed", "5",
+                             "--out", f"{command}-{config}.csv"])
+            print("ran", command, config, code)
+        print("scipy loaded", any(name.split(".")[0] == "scipy" for name in sys.modules))
+        print("polynomial loaded", "numpy.polynomial" in sys.modules)
+    """, tmp_path)
+    # the subcommands' own stdout (verdicts, oracle diffs) is left out
+    lines = [line for line in out.split("\n")
+             if line.startswith(("blocked", "ran ", "scipy ", "polynomial "))]
+    assert lines == ["blocked", "ran gamma small 0", "ran fig1 small 0", "ran oracle small 0",
+                     "ran codes small 0", "ran scalability small 0", "ran beta small 0",
+                     "ran residual small 0", "ran gamma s15 0", "ran gamma s25 0",
+                     "ran gamma cold 0", "scipy loaded False", "polynomial loaded False"]
+    for csv in tmp_path.glob("*.csv"):
+        assert csv.read_text(encoding="ascii").count("\n") > 1
+
+
 def test_serial_cli_loads_no_process_pool_and_package_no_polynomials(tmp_path):
     # the pool machinery loads only when --jobs starts a pool; quadrature
-    # types in its rules, so only bath's Filon rule loads numpy.polynomial
+    # and bath type in their rules, so nothing loads numpy.polynomial
     out = run_python("""
         import sys
         import corrqec

@@ -1,5 +1,6 @@
 import importlib.util
 import math
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,7 +20,9 @@ from corrqec import (
     independent_residual,
     scalability_verdict,
 )
+from corrqec import residual as residual_module
 from corrqec.errors import DomainError
+from corrqec.quadrature import integrate
 
 # Output of scripts/asymptote_region_oracle.py (piecewise Gauss-Legendre mass
 # of the failure region), q = 0.05, gamma0 = 0.01.
@@ -56,6 +59,90 @@ def test_independent_matches_exact_binomial_sum():
         for w in range(t + 1, n + 1)
     )
     assert independent_residual(n, t, g0) == pytest.approx(float(tail), rel=1e-14)
+
+
+def exact_tail(n: int, t: int, p: float) -> Fraction:
+    """P[X > t], X ~ Binomial(n, p), in exact arithmetic on the double p.
+
+    With p = a/d, the tail is sum_k C(n, k) a^k (d - a)^(n-k) / d^n; each
+    integer term follows from the last by an exact division.
+    """
+    a, d = Fraction(p).as_integer_ratio()
+    b = d - a
+    term = math.comb(n, t + 1) * a ** (t + 1) * b ** (n - t - 1)
+    total = 0
+    for k in range(t + 1, n + 1):
+        total += term
+        if k < n:
+            term = term * (n - k) * a // ((k + 1) * b)
+    return Fraction(total, d ** n)
+
+
+@pytest.mark.parametrize("n,t,p", [
+    (1, 0, 0.3), (2, 0, 0.5), (7, 3, 0.2), (50, 10, 0.1),
+    (100, 4, 0.005),      # deep tail, a few terms above t
+    (300, 150, 0.5),      # t at the mode: both runs are long
+    (500, 24, 0.05), (1000, 99, 0.02),
+    (2000, 40, 0.03),     # mode above t + 1: the run down stops at t + 1
+    (2000, 1990, 0.999),  # q small: the largest term is near n
+    (1500, 700, 0.3),     # a tail of about 1e-60
+])
+def test_binom_tail_matches_exact_sum(n, t, p):
+    got = residual_module._binom_tail(n, t, p, 1.0 - p)
+    assert got == pytest.approx(float(exact_tail(n, t, p)), rel=1e-13, abs=0.0)
+
+
+def test_binom_tail_matches_betainc_grid():
+    # n log-spaced 2..1e6, nine p, t from 12 standard deviations below the
+    # mean to 12 above.  Measured: 1.6e-12 relative at worst (n = 636,039,
+    # p = 0.504, a tail of 3e-14), where 40-digit sums put this tail 3.2e-13
+    # and betainc 1.3e-12 off the exact value
+    from scipy.special import betainc
+
+    rng = np.random.default_rng(2024)
+    for n in np.unique(np.round(np.geomspace(2, 1e6, 30)).astype(int)).tolist():
+        for p0 in (1e-4, 0.003, 0.02, 0.05, 0.1, 0.3, 0.5, 0.75, 0.97):
+            p = float(p0 * rng.uniform(0.99, 1.01))
+            q = 1.0 - p
+            mean, sd = n * p, math.sqrt(n * p * q)
+            for t in {min(n - 1, max(0, round(mean + z * sd))) for z in np.linspace(-12, 12, 17)}:
+                ref = float(betainc(t + 1, n - t, p))
+                assert residual_module._binom_tail(n, t, p, q) == pytest.approx(ref, rel=3e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("n,t,p_a,p_b", [
+    (1, 0, 0.2, 0.7),          # Beta(1, 1): the density is 1
+    (200, 0, 0.0, 0.02),       # t = 0 from p = 0
+    (50, 49, 0.9, 1.0),        # n - 1 - t = 0 up to p = 1
+    (1000, 49, 0.03, 0.07),
+    (100000, 4999, 0.048, 0.052),
+])
+def test_beta_density_integrates_to_the_tail(n, t, p_a, p_b):
+    density = residual_module._beta_density(n, t)
+    value, _ = integrate(density, np.linspace(p_a, p_b, 17), rel_tol=1e-13)
+    tail = residual_module._binom_tail
+    expect = tail(n, t, p_b, 1.0 - p_b) - tail(n, t, p_a, 1.0 - p_a)
+    assert value == pytest.approx(expect, rel=1e-12, abs=0.0)
+
+
+def test_beta_density_endpoints():
+    # a power with exponent 0 stays 1 at its zero; the others reach 0
+    # without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ends = np.array([0.0, 1.0])
+        assert np.array_equal(residual_module._beta_density(1, 0)(ends), [1.0, 1.0])
+        assert residual_module._beta_density(40, 0)(ends) == pytest.approx([40.0, 0.0], rel=1e-15, abs=0.0)
+        assert residual_module._beta_density(40, 39)(ends) == pytest.approx([0.0, 40.0], rel=1e-15, abs=0.0)
+        assert np.array_equal(residual_module._beta_density(40, 5)(ends), [0.0, 0.0])
+
+
+@pytest.mark.parametrize("g0,gr", [(0.01, 0.01), (0.3, 0.1), (0.02, 1e-4)])
+def test_code_avg_single_qubit_closed_form(g0, gr):
+    # n = 1, t = 0: the tail is p_x itself, whose Gaussian average is
+    # (1 - e^-(G0-Gr) e^-Gr)/2 = (1 - e^-G0)/2; at G0 = Gr, p_0 = 0
+    got = code_avg_residual(ResidualQuery(1, 0, DecoherencePair(g0, gr)))
+    assert got == pytest.approx(-0.5 * math.expm1(-g0), rel=1e-12, abs=0.0)
 
 
 def test_independent_log_linear_decay():
@@ -174,6 +261,8 @@ def sweep_draws(count: int, seed: int) -> list[tuple[int, int, float, float]]:
     # p_x never reaches (t+1)/(n+1), but the tail dips near x = k pi
     (1718, 33, 0.18135660867605868, 0.11626814333774495),
     (4000, 199, 0.01, 0.01),
+    # t = 0 at G0 = Gr: the boundary term T(p_0) has p_0 = 0
+    (50, 0, 0.01, 0.01),
 ] + sweep_draws(30, seed=4101))
 def test_code_avg_matches_dense_trapezoid(n, t, g0, gr):
     got = code_avg_residual(ResidualQuery(n, t, DecoherencePair(g0, gr)))
