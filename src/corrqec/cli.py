@@ -31,7 +31,6 @@ from .codes import CssCodePair, load_code_pair, meets_rate_bound, sample_random_
 from .dephasing import DecoherencePair, alpha_matrix, beta, log_beta
 from .errors import ConvergenceError, DomainError, SizeLimitError
 from .oracle import encode, fidelity_formula, random_state, residual_exact
-from .quadrature import QuadratureConfig
 
 _FIG1_GAMMAR = "0.01,0.005,0.0025,0.00125,0"
 _FIG1_TGRID = "1,2,5,10,20,50,100,200,350,500"
@@ -148,10 +147,6 @@ def _resolve_tol(args, settings: Settings):
     return float(env) if env else None
 
 
-def _quad_for(tol) -> QuadratureConfig | None:
-    return QuadratureConfig(rel_tol=tol) if tol is not None else None
-
-
 def _resolve_seed(args, settings: Settings, required: bool):
     seed = args.seed if args.seed is not None else settings.get("seed", int, None)
     if seed is None:
@@ -172,7 +167,7 @@ def _bath_from(settings: Settings) -> BathParams:
                       settings.get("temp", float, 1.0))
 
 
-def _pair_from(settings: Settings, quad) -> tuple[DecoherencePair, str]:
+def _pair_from(settings: Settings) -> tuple[DecoherencePair, str]:
     """The pair from raw (gamma0, gammar) keys or from bath + geometry keys.
 
     A config that gives a raw key and a geometry key (r or tau) is a
@@ -185,7 +180,7 @@ def _pair_from(settings: Settings, quad) -> tuple[DecoherencePair, str]:
                               "not both")
         bath = _bath_from(settings)
         pair = gamma_pair(bath, settings.get("r", float, _REQUIRED),
-                          settings.get("tau", float, _REQUIRED), quad)
+                          settings.get("tau", float, _REQUIRED))
         return pair, "bath"
     pair = DecoherencePair(settings.get("gamma0", float, 0.01),
                            settings.get("gammar", float, 0.005))
@@ -207,19 +202,18 @@ def _pmap(fn, payloads, jobs: int) -> list:
 
 def _gamma_task(payload):
     _bind("bath")
-    bath, r, tau, quad, scale = payload
-    est0 = gamma_detailed(bath, GeometryParams(0.0, tau), quad)
-    estr = est0 if r == 0.0 else gamma_detailed(bath, GeometryParams(r, tau), quad)
+    bath, r, tau, scale = payload
+    est0 = gamma_detailed(bath, GeometryParams(0.0, tau))
+    estr = est0 if r == 0.0 else gamma_detailed(bath, GeometryParams(r, tau))
     row = [r, tau, est0.value, estr.value,
            est0.error_estimate + estr.error_estimate]
     if scale is not None:
-        lhs, rhs = scaling_identity_sides(bath, GeometryParams(r, tau), scale, quad)
+        lhs, rhs = scaling_identity_sides(bath, GeometryParams(r, tau), scale)
         row += [lhs.value, rhs.value, lhs.error_estimate + rhs.error_estimate]
     return row
 
 
 def cmd_gamma(args, settings: Settings, tol) -> int:
-    quad = _quad_for(tol)
     bath = _bath_from(settings)
     r_grid = _floats(settings.get("r_grid", str, "0.0"))
     tau_grid = _floats(settings.get("tau_grid", str, "1.0"))
@@ -227,7 +221,7 @@ def cmd_gamma(args, settings: Settings, tol) -> int:
     header = ["r", "tau", "gamma0", "gammaR", "err_estimate"]
     if scale is not None:
         header += ["scaled_lhs", "scaled_rhs", "scaled_err"]
-    payloads = [(bath, r, tau, quad, scale) for r in r_grid for tau in tau_grid]
+    payloads = [(bath, r, tau, scale) for r in r_grid for tau in tau_grid]
     _emit(args.out, header, _pmap(_gamma_task, payloads, args.jobs))
     return 0
 
@@ -265,7 +259,7 @@ def _load_code(settings: Settings) -> CssCodePair:
 
 def cmd_oracle(args, settings: Settings, tol) -> int:
     code = _load_code(settings)
-    pair, source = _pair_from(settings, _quad_for(tol))
+    pair, source = _pair_from(settings)
     states = settings.get("states", int, 20)
     seed = _resolve_seed(args, settings, required=states > 0)
     alpha = alpha_matrix(code.n, pair)
@@ -336,13 +330,12 @@ def cmd_codes(args, settings: Settings, tol) -> int:
 
 def _scal_task(payload):
     _bind("scalability")
-    scen, nv, quad = payload
-    return scalability_row(scen, nv, quad)
+    scen, nv = payload
+    return scalability_row(scen, nv)
 
 
 def cmd_scalability(args, settings: Settings, tol) -> int:
     _bind("scalability")
-    quad = _quad_for(tol)
     scen = ScalingScenario(
         s=settings.get("s", float, 1.0),
         y=settings.get("y", float, 1.0 / 3.0),
@@ -364,7 +357,7 @@ def cmd_scalability(args, settings: Settings, tol) -> int:
         grid = geometric_grid(scen.n0,
                               settings.get("n_max", float, 1e9),
                               settings.get("points", int, 29))
-    rows = _pmap(_scal_task, [(scen, nv, quad) for nv in sorted(grid)], args.jobs)
+    rows = _pmap(_scal_task, [(scen, nv) for nv in sorted(grid)], args.jobs)
     report = scalability_summary(scen, rows)
     _emit(args.out, ["n", "a", "gammaR_eff", "gamma_budget", "satisfied"],
           [[r.n, r.a, r.gamma_r, r.budget, r.satisfied] for r in report.rows])
@@ -385,7 +378,7 @@ def _beta_task(payload):
 
 
 def cmd_beta(args, settings: Settings, tol) -> int:
-    pair, source = _pair_from(settings, _quad_for(tol))
+    pair, source = _pair_from(settings)
     n = settings.get("n", int, 6)
     w_text = settings.get("w_list", str, "all")
     ws = list(range(n + 1)) if w_text == "all" else [int(v) for v in _floats(w_text)]
@@ -411,7 +404,7 @@ def _residual_task(payload):
 
 
 def cmd_residual(args, settings: Settings, tol) -> int:
-    pair, source = _pair_from(settings, _quad_for(tol))
+    pair, source = _pair_from(settings)
     if settings.has("n") or settings.has("t"):
         if settings.has("n_grid"):
             raise DomainError("give either an explicit (n, t) or an n_grid with q, "

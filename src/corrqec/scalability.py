@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bath import BathParams, GammaEstimate, GeometryParams, QuadratureConfig, gamma_detailed
+from .bath import BathParams, GammaEstimate, GeometryParams, gamma_detailed
 from .errors import DomainError
 
 __all__ = [
@@ -134,16 +134,14 @@ class ScalabilityReport:
     crossover_n: float | None
 
 
-def scalability_row(scen: ScalingScenario, n: float,
-                    quad: QuadratureConfig | None = None) -> ScalabilityRow:
+def scalability_row(scen: ScalingScenario, n: float) -> ScalabilityRow:
     """One grid point: a = (n/n0)^y, Gamma_r at geometry (a r0, a tau0),
     budget from gamma_budget, and the satisfied flag."""
     a = (float(n) / scen.n0) ** scen.y
     if scen.coupling == 0.0:
         est = GammaEstimate(0.0, 0.0)
     else:
-        est = gamma_detailed(scen.bath,
-                             GeometryParams(a * scen.r0, a * scen.tau0), quad)
+        est = gamma_detailed(scen.bath, GeometryParams(a * scen.r0, a * scen.tau0))
     bud = gamma_budget(n, scen.q, scen.mu, scen.b)
     return ScalabilityRow(float(n), a, est.value, est.error_estimate,
                           bud.gamma_max, est.value < bud.gamma_max)
@@ -167,11 +165,9 @@ def scalability_summary(scen: ScalingScenario,
     return ScalabilityReport(ordered, verdict, crossover)
 
 
-def scalability_verdict(scen: ScalingScenario, n_grid: Sequence[float],
-                        quad: QuadratureConfig | None = None) -> ScalabilityReport:
+def scalability_verdict(scen: ScalingScenario, n_grid: Sequence[float]) -> ScalabilityReport:
     """Evaluate the budget condition along n_grid and classify the scenario."""
-    return scalability_summary(
-        scen, [scalability_row(scen, nv, quad) for nv in n_grid])
+    return scalability_summary(scen, [scalability_row(scen, nv) for nv in n_grid])
 
 
 def geometric_grid(lo: float, hi: float, points: int) -> list[float]:

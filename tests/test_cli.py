@@ -221,14 +221,14 @@ def test_residual_explicit_point(tmp_path, capsys):
 
 
 def test_tol_sources(tmp_path, capsys, monkeypatch):
-    cfg = write_config(tmp_path, "gamma", r_grid="0.5", tau_grid="1.0")
-    code, _ = run(capsys, "gamma", "--config", cfg, "--tol", "1e-7")
+    cfg = write_config(tmp_path, "residual", n=100, t=4, gamma0=0.01, gammar=0.005)
+    code, _ = run(capsys, "residual", "--config", cfg, "--tol", "1e-7")
     assert code == 0
     monkeypatch.setenv("CORRQEC_TOL", "1e-7")
-    code, _ = run(capsys, "gamma", "--config", cfg)
+    code, _ = run(capsys, "residual", "--config", cfg)
     assert code == 0
     monkeypatch.setenv("CORRQEC_TOL", "not-a-number")
-    code, _ = run(capsys, "gamma", "--config", cfg)
+    code, _ = run(capsys, "residual", "--config", cfg)
     assert code == 1
 
 

@@ -41,7 +41,7 @@ def test_coefficient_hand_value():
     eta = BitString.from_string("111")
     mu = BitString.from_string("000")
     c = coefficient_c(eta, mu, DecoherencePair(0.01, 0.004))
-    assert c == pytest.approx(0.054, rel=1e-12)
+    assert c == pytest.approx(0.054, rel=1e-12, abs=0.0)
 
 
 def test_bitstring_text_round_trip_and_errors():
@@ -226,7 +226,7 @@ def test_channel_equals_z_kraus_representation(n, rng):
 def test_p_of_x_edges():
     assert p_of_x(DecoherencePair(0.02, 0.02), 0.0) == 0.0
     p_o = p_of_x(DecoherencePair(0.01, 0.0), 0.0)
-    assert p_o == pytest.approx((1.0 - math.exp(-0.01)) / 2.0, rel=1e-14)
+    assert p_o == pytest.approx((1.0 - math.exp(-0.01)) / 2.0, rel=1e-14, abs=0.0)
 
 
 @given(g0=st.floats(0.0, 2.0), frac=st.floats(0.0, 1.0), x=st.floats(-20.0, 20.0))
@@ -248,7 +248,7 @@ def test_beta_independent_branch_closed_form():
     pair = DecoherencePair(g0, 0.0)
     for w in range(n + 1):
         expect = p_o**w * (1.0 - p_o) ** (n - w)
-        assert beta(n, w, pair) == pytest.approx(expect, rel=1e-13)
+        assert beta(n, w, pair) == pytest.approx(expect, rel=1e-13, abs=0.0)
 
 
 def test_beta_completeness():
