@@ -110,7 +110,7 @@ def test_large_geometry_matches_dense_reference(s, tau):
 
 
 # Geometries whose three phases cancel: r = tau/1e6 (polar difference and
-# sinc-series), r = 200 tau (u-series), r = 5 tau (direct and u-series).
+# u-series), r = 200 tau (u-series), r = 5 tau (direct and u-series).
 @pytest.mark.parametrize(
     "s,r,tau",
     [(s, r, tau) for s in (0.6, 1.0, 2.0, 2.5)
@@ -125,9 +125,10 @@ def test_cancelling_geometry_matches_dense_reference(s, r, tau):
 
 # Both sides of every switch between forms at a = 1/Omega = 0.1, the only
 # Matsubara point at T = 0: r = 0 with tau/a just under and over 1/4; the
-# u-series edge tau = |a - i r|/4 at r = 1; the sinc-series edge r = a/4 and
-# the polar edge r = tau/8, each at tau = 1.  At T = 1 the same geometries
-# spread their Matsubara terms over several forms.
+# u-series edge tau = |a - i r|/4 at r = 1; the polar edge r = tau/8 at
+# tau = 1; and r = a/4 at tau = 1, where the polar form meets a small angle
+# r/a.  At T = 1 the same geometries spread their Matsubara terms over
+# several forms.
 SWITCHES = ((0.0, 0.024), (0.0, 0.026), (1.0, 0.2505), (1.0, 0.252),
             (0.0249, 1.0), (0.0251, 1.0), (0.1245, 1.0), (0.1255, 1.0))
 
