@@ -146,9 +146,10 @@ def decoherence_integrand(omega, bath: BathParams, geom: GeometryParams) -> np.n
 
 # ---------------------------------------------------------------- closed form
 #
-# Each form takes 1-d arrays a > 0 and x and the scalars r, tau, and returns
-# F_x(a) a^x (the caller applies a^-x with its weight) and a bound on the
-# rounding error of that value.  Every form works in zeta = z/a = 1 - i k/a.
+# Each form takes 1-d arrays a > 0 and integer offsets k of the exponents
+# x = s + k, and the scalars s, r, tau; it returns F_x(a) a^x (the caller
+# applies a^-x with its weight) and a bound on the rounding error of that
+# value.  Every form works in zeta = z/a = 1 - i q, q = (phase)/a.
 
 _MATSUBARA = 24  # Matsubara terms m < 24 are summed one by one
 _BERNOULLI = np.array([1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730])  # B_2 .. B_12
@@ -165,8 +166,17 @@ _EPS = float(np.finfo(float).eps)
 _COND = 8.0  # rounding of one term in eps, before its exponent's share
 
 
-def _gamma_of(x: np.ndarray) -> np.ndarray:
-    return np.array([math.gamma(v) for v in x.tolist()])
+def _gamma_of(s: float, k: np.ndarray) -> np.ndarray:
+    """Gamma(s + k) for integers k: below k = 0 by Gamma(s)/(s - 1)...(s + k),
+    each factor s + i rounded once, so that no rounding of s + k meets the
+    pole nearby (s -> 0, where Gamma(s - 2) ~ 1/s)."""
+    out = []
+    for kk in k.tolist():
+        g = math.gamma(s + kk) if kk >= 0 else math.gamma(s)
+        for i in range(int(kk), 0):
+            g /= s + i
+        out.append(g)
+    return np.array(out)
 
 
 def _expm1_ratio(w: np.ndarray) -> np.ndarray:
@@ -174,15 +184,16 @@ def _expm1_ratio(w: np.ndarray) -> np.ndarray:
     return np.divide(np.expm1(w), w, out=np.ones_like(w), where=w != 0.0)
 
 
-def _pole(x: np.ndarray, top: int, spread: np.ndarray):
-    """(n, delta, mask) for the removable pole of Gamma(x) at x = -n, n <= top.
+def _pole(s: float, k: np.ndarray, top: int, spread: np.ndarray):
+    """(n, delta, mask) for the removable pole of Gamma(x), x = s + k, at
+    x = -n, n <= top; delta = s + (k + n) is rounded once.
 
     The pole form is taken where |delta| spread <= 1/2, spread being
     ln max|zeta|: the direct form loses about 1/|delta| there, the pole form
     about |zeta|^|delta|.  Outside the mask n is 0.
     """
-    n = -np.round(x)
-    d = x + n
+    n = -np.round(s + k)
+    d = s + (k + n)
     mask = (n >= 0.0) & (n <= top) & (np.abs(d) * spread <= 0.5)
     return np.where(mask, n, 0.0), d, mask
 
@@ -194,7 +205,7 @@ def _pole_coef(x: np.ndarray, n: np.ndarray) -> np.ndarray:
                      for v, k in zip(x.tolist(), n.tolist())])
 
 
-def _phases(ln_mod, theta, w, x, n, d, pole, real: bool):
+def _phases(ln_mod, theta, w, s, k, n, d, pole, real: bool):
     """sum_j w_j Gamma(x) P zeta_j^-x, zeta_j = |zeta_j| e^(-i theta_j), P = Re
     (real) or Im, in real arithmetic: rows are phases, columns points.
 
@@ -208,12 +219,13 @@ def _phases(ln_mod, theta, w, x, n, d, pole, real: bool):
     E(w) = expm1(w)/w.  Every piece keeps its relative accuracy when theta
     is small, and so does its error bound.
     """
+    x = s + k
     trig, turn_trig = (np.cos, np.sin) if real else (np.sin, np.cos)
     val = err = 0.0
     if not pole.all():
         mod = w * np.exp(-x * ln_mod)
         t = trig(x * theta)
-        g = _gamma_of(np.where(pole, 0.5, x))  # the plain form is not used at a pole
+        g = _gamma_of(s, np.where(pole, 0.0, k))  # the plain form is not used at a pole
         val = g * (mod * t).sum(axis=0)
         err = np.abs(g) * (np.abs(mod) * (np.abs(t) * (_COND + np.abs(x * ln_mod))
                                           + np.abs(x * theta))).sum(axis=0)
@@ -231,29 +243,30 @@ def _phases(ln_mod, theta, w, x, n, d, pole, real: bool):
     return val, _EPS * err
 
 
-def _direct(a, x, r, tau):
-    """F_x from its phases k_j: r = 0: k = (0, tau), w = (1, -1), P = Re;
-    r > 0: k = (r, r + tau, r - tau), w = (1, -1/2, -1/2), P = Im / r."""
+def _direct(a, s, k, r, tau):
+    """F_x from its phases p_j: r = 0: p = (0, tau), w = (1, -1), P = Re;
+    r > 0: p = (r, r + tau, r - tau), w = (1, -1/2, -1/2), P = Im / r."""
     if r == 0.0:
-        k, w, top = np.array([[0.0], [tau]]), np.array([[1.0], [-1.0]]), 1
+        p, w, top = np.array([[0.0], [tau]]), np.array([[1.0], [-1.0]]), 1
     else:
-        k, w, top = np.array([[r], [r + tau], [r - tau]]), np.array([[1.0], [-0.5], [-0.5]]), 2
-    q = k / a
+        p, w, top = np.array([[r], [r + tau], [r - tau]]), np.array([[1.0], [-0.5], [-0.5]]), 2
+    q = p / a
     ln_mod = 0.5 * np.log1p(q * q)
-    n, d, pole = _pole(x, top, ln_mod.max(axis=0))
-    val, err = _phases(ln_mod, np.arctan(q), w, x, n, d, pole, r == 0.0)
+    n, d, pole = _pole(s, k, top, ln_mod.max(axis=0))
+    val, err = _phases(ln_mod, np.arctan(q), w, s, k, n, d, pole, r == 0.0)
     return (val, err) if r == 0.0 else (val / r, err / r)
 
 
-def _gamma_ratios(b: np.ndarray, c: int) -> np.ndarray:
-    """Gamma(b + 2j)/(2j + c)! for j = 1 .. 24, one row per b, by recurrence."""
-    y = b[:, None] + _TWO_J[:-1]
+def _gamma_ratios(s: float, k: np.ndarray, c: int) -> np.ndarray:
+    """Gamma(b + 2j)/(2j + c)! for j = 1 .. 24, b = s + k, one row per b, by
+    recurrence; b + 2j is rounded once from s."""
+    y = s + (k[:, None] + _TWO_J[:-1])
     step = y * (y + 1.0) / ((_TWO_J[:-1] + (c + 1.0)) * (_TWO_J[:-1] + (c + 2.0)))
-    first = _gamma_of(b + 2.0) / math.factorial(2 + c)
+    first = _gamma_of(s, k + 2.0) / math.factorial(2 + c)
     return np.cumprod(np.concatenate([first[:, None], step], axis=1), axis=1)
 
 
-def _series(a, x, r, tau):
+def _series(a, s, k, r, tau):
     """F_x as the series in u = i tau/z, |u| <= 1/4, free of the cancellation
     between the phases: sum_(j>=1) (-1)^(j+1) Gamma(y)/(2j)! v^(2j) P zeta^-y,
     y = x + 2j, v = tau/a, zeta = 1 - i r/a, P zeta^-y = 1 at r = 0 (y > 0
@@ -261,16 +274,16 @@ def _series(a, x, r, tau):
     |zeta|^-y theta sinc(y theta), theta = arctan(r/a), so no pole forms at
     y = x + 2 = 0 (s = 1 in the Euler-Maclaurin integral), and a small angle
     r << a keeps its relative accuracy."""
-    y = x[:, None] + _TWO_J
+    y = s + (k[:, None] + _TWO_J)
     powers = np.log(tau / a)[:, None] * _TWO_J  # ln v^(2j)
     if r == 0.0:
-        size = t = _gamma_ratios(x, 0) * np.exp(powers)
+        size = t = _gamma_ratios(s, k, 0) * np.exp(powers)
         bound = np.abs(size) * (_COND + _TWO_J)
     else:
         rho = r / a
         theta = np.arctan(rho)[:, None]
         half_log = 0.5 * np.log1p(rho * rho)[:, None]  # ln |zeta|
-        size = _gamma_ratios(x + 1.0, 0) * np.exp(powers - y * half_log) * (theta / r)
+        size = _gamma_ratios(s, k + 1.0, 0) * np.exp(powers - y * half_log) * (theta / r)
         ang = y * theta
         sinc = np.divide(np.sin(ang), ang, out=np.ones_like(ang), where=ang != 0.0)
         t = size * sinc
@@ -278,7 +291,7 @@ def _series(a, x, r, tau):
     return (_ALTERNATE * t).sum(axis=1), _EPS * bound.sum(axis=1) + np.abs(size[:, -1])
 
 
-def _polar(a, x, r, tau):
+def _polar(a, s, k, r, tau):
     """F_x where r < tau/8 and tau > |z|/4, by the polar difference of the tau phases.
 
     -(z1^-x + conj(z2)^-x)/2 with z1 = a - i(tau + r), z2 = a - i(tau - r)
@@ -288,17 +301,18 @@ def _polar(a, x, r, tau):
     z2^n [log z2 E(-d log z2) expm1(-x Lam) + e^(n Lam) Lam E(-d Lam)].
     The phase r itself takes _phases.
     """
+    x = s + k
     qr, q2 = r / a, (tau - r) / a
     ln_r = 0.5 * np.log1p(qr * qr)
     l2 = 0.5 * np.log1p(q2 * q2) - 1j * np.arctan(q2)  # log zeta2, without numpy's slow complex log
     lam = (0.5 * np.log1p(4.0 * tau * r / (a * a + (tau - r) ** 2))
            - 1j * np.arctan2(2.0 * a * r, a * a + tau * tau - r * r))
-    n, d, pole = _pole(x, 2, np.maximum(ln_r, l2.real + lam.real))
-    val, err = _phases(ln_r[None], np.arctan(qr)[None], 1.0, x, n, d, pole, False)
+    n, d, pole = _pole(s, k, 2, np.maximum(ln_r, l2.real + lam.real))
+    val, err = _phases(ln_r[None], np.arctan(qr)[None], 1.0, s, k, n, d, pole, False)
     grow = np.expm1(-x * lam)
     pair = pair_err = 0.0
     if not pole.all():
-        g = _gamma_of(np.where(pole, 0.5, x))
+        g = _gamma_of(s, np.where(pole, 0.0, k))
         p = np.exp(-x * l2) * grow
         pair = -0.5 * g * p.imag
         pair_err = 0.5 * np.abs(g * p) * (_COND + np.abs(x * l2) + np.abs(x * lam))
@@ -314,7 +328,7 @@ def _polar(a, x, r, tau):
     return (val + pair) / r, (err + _EPS * pair_err) / r
 
 
-def _transform(a, x, r, tau):
+def _transform(a, s, k, r, tau):
     """F_x(a) a^x and its rounding bound, each point in the form free of
     cancellation there: the series where tau <= |z|/4 (r >> tau, or
     tau << a); else at r > 0 the polar difference where r < tau/8; else the
@@ -322,18 +336,19 @@ def _transform(a, x, r, tau):
     series = tau <= _SERIES * np.hypot(a, r)
     rest = _polar if 0.0 < r < _POLAR * tau else _direct
     if series.all():
-        return _series(a, x, r, tau)
+        return _series(a, s, k, r, tau)
     if not series.any():
-        return rest(a, x, r, tau)
+        return rest(a, s, k, r, tau)
     val, err = np.empty_like(a), np.empty_like(a)
     for sel, form in ((series, _series), (~series, rest)):
-        val[sel], err[sel] = form(a[sel], x[sel], r, tau)
+        val[sel], err[sel] = form(a[sel], s, k[sel], r, tau)
     return val, err
 
 
 @functools.lru_cache(maxsize=64)
-def _matsubara(s: float, Om: float, T: float, e: float):
-    """Points a, exponents x and weights w of Gamma = A sum w F_x(a) a^x.
+def _matsubara(s: float, Om: float, T: float, offset: float):
+    """Points a, exponent offsets k and weights w of Gamma = A sum w F_x(a) a^x,
+    x = s + k, e = s + offset.
 
     At T = 0 the single point a = 1/Omega; else a_m, m < 24, and the
     Euler-Maclaurin terms at a_24: 2 T F_(e-1)(a_24) is
@@ -341,18 +356,18 @@ def _matsubara(s: float, Om: float, T: float, e: float):
     because every call with the same bath shares them.
     """
     if T == 0.0:
-        a, x, w = np.array([1.0 / Om]), np.array([e]), np.ones(1)
+        a, k, w = np.array([1.0 / Om]), np.array([offset]), np.ones(1)
     else:
         a_M = 1.0 / Om + _MATSUBARA / T
         scaled = T * a_M  # T/Omega + 24
         a = np.concatenate([1.0 / Om + np.arange(_MATSUBARA) / T, np.full(_EM_SHIFT.size, a_M)])
-        x = e + np.concatenate([np.zeros(_MATSUBARA), _EM_SHIFT])
+        k = offset + np.concatenate([np.zeros(_MATSUBARA), _EM_SHIFT])
         w = np.concatenate([[1.0], np.full(_MATSUBARA - 1, 2.0), [2.0 * scaled, 1.0],
                             _EM_COEF * scaled ** (1.0 - _EM_ORDERS)])
-    w = w * a ** -e
-    for arr in (a, x, w):
+    w = w * a ** -(s + offset)
+    for arr in (a, k, w):
         arr.flags.writeable = False
-    return a, x, w
+    return a, k, w
 
 
 def gamma_detailed(bath: BathParams, geom: GeometryParams) -> GammaEstimate:
@@ -386,9 +401,9 @@ def gamma_detailed(bath: BathParams, geom: GeometryParams) -> GammaEstimate:
         # the sinc(w r) correction, (r Omega)^2 relative at most, is far below
         # rounding, while r/a nears the subnormal range where r > 0 loses digits
         r = 0.0
-    e = s - 1.0 if r == 0.0 else s - 2.0
-    a, x, weight = _matsubara(s, Om, T, e)
-    vals, errs = _transform(a, x, r, tau)
+    # exponents are s plus integers, each rounded once from s (_gamma_of)
+    a, k, weight = _matsubara(s, Om, T, -1.0 if r == 0.0 else -2.0)
+    vals, errs = _transform(a, s, k, r, tau)
     terms = weight * vals
     value = math.fsum(terms.tolist())
     rest = 0.0 if T == 0.0 else _em_remainder(s, r, tau, float(a[-1]), T * float(a[-1]))
