@@ -106,13 +106,18 @@ def _as_matrix(rho):
 def _pair_decay(n: int, pair: DecoherencePair, rows: np.ndarray) -> np.ndarray:
     # exp(-C[rows, :]) of the equal-distance channel: C depends only on the
     # flip count |eta xor mu| and the weight difference, so exp is taken once
-    # per (flips, dw) pair and looked up
+    # per (flips, dw) pair and looked up through one flat index; every index
+    # fits 16 bits within the dense byte budget (n <= 12)
     flips = np.arange(n + 1)[:, None]
     dw = np.arange(-n, n + 1)[None, :]
-    table = np.exp(-((pair.gamma0 - pair.gammaR) * flips + pair.gammaR * dw * dw))
-    w = index_weights(n)
-    return table[np.bitwise_count(rows[:, None] ^ np.arange(1 << n)),
-                 (w[rows] + n)[:, None] - w]
+    table = np.exp(-((pair.gamma0 - pair.gammaR) * flips + pair.gammaR * dw * dw)).ravel()
+    w = index_weights(n).astype(np.int16)
+    cols = np.arange(1 << n, dtype=np.uint16)
+    key = np.bitwise_count(rows.astype(np.uint16)[:, None] ^ cols).astype(np.int16)
+    key *= 2 * n + 1
+    key += (w[rows] + n)[:, None]
+    key -= w
+    return table[key]
 
 
 def apply_channel(rho, pair: DecoherencePair | None = None, *,
@@ -217,21 +222,22 @@ class AlphaMatrix:
 
 
 def alpha_matrix(n: int, pair: DecoherencePair) -> AlphaMatrix:
-    """Two-sided Walsh transform of exp(-C), scaled by 4^-n.
+    """Two-sided Walsh transform H exp(-C) H of exp(-C), scaled by 4^-n.
 
-    exp(-C) is symmetric, so H (exp(-C) H) is the Walsh transform of the
-    transposed one-sided result; both passes run along contiguous rows.
+    The column transform runs first, as the two Kronecker factors of H on
+    the leading axis of the (hi, lo, 2^n) view, and walsh_transform then
+    transforms the rows, so no pass forms a transposed copy.
     The real 2^n x 2^n result must fit the dense byte budget (n <= 12).
     """
     if n < 1:
         raise DomainError("need n >= 1")
     dim = 1 << n
     check_dense_bytes(dim, 8, "alpha_matrix")
-    M = np.empty((dim, dim))
-    block = max(1, (1 << 22) // dim)
-    for i0 in range(0, dim, block):
-        M[i0:i0 + block] = _pair_decay(n, pair, np.arange(i0, min(i0 + block, dim)))
-    M = walsh_transform(walsh_transform(M).T)
+    hi, lo = 1 << (n // 2), 1 << (n - n // 2)
+    M = _pair_decay(n, pair, np.arange(dim)).reshape(hi, lo, dim)
+    M = _sylvester(lo) @ M
+    M = _sylvester(hi) @ M.reshape(hi, -1)
+    M = walsh_transform(M.reshape(dim, dim))
     M *= 0.25 ** n
     return AlphaMatrix(n, M)
 

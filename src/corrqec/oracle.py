@@ -4,10 +4,12 @@ This module is the ground-truth side of every cross-check.  States and
 density matrices are dense 2^n objects (full pipelines up to n = 10, any
 dense matrix within the 2^28-byte budget), but the kernels only compute
 where their result can be nonzero: an encoded state lives on the
-2^dim(C1) indices of C1, recovery reads only the C1 x C1 block through the
-isometry, and the channel decays only the rows where its input is nonzero.
-Each restriction skips exact zeros only, so results equal the full-index
-computation up to rounding.
+2^dim(C1) indices of C1, so to_density fills only that block of
+|psi><psi|, the channel decays only the rows where its input is nonzero,
+recovery reads only the C1 x C1 block through the isometry, and the
+DensityMatrix checks read only the nonzero rows.  Each restriction skips
+exact zeros only: the checks decide exactly as on the full matrix, and the
+results equal the full-index computation up to rounding.
 """
 from __future__ import annotations
 
@@ -40,29 +42,38 @@ class PureState:
         amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
         if amps.shape[0] != 1 << self.n:
             raise DomainError(f"expected 2^{self.n} amplitudes, got {amps.shape[0]}")
+        if not np.isfinite(amps).all():
+            raise DomainError("state has non-finite amplitudes")
         if abs(np.linalg.norm(amps) - 1.0) > 1e-12:
             raise DomainError("state is not normalized")
         object.__setattr__(self, "amplitudes", amps)
 
     def to_density(self) -> "DensityMatrix":
-        check_dense_bytes(1 << self.n, 16, "to_density")
-        return DensityMatrix(self.n, np.outer(self.amplitudes, self.amplitudes.conj()))
+        dim = 1 << self.n
+        check_dense_bytes(dim, 16, "to_density")
+        # |psi><psi| is nonzero only on S x S, S the nonzero amplitudes
+        live = np.flatnonzero(self.amplitudes)
+        amps = self.amplitudes[live]
+        out = np.zeros((dim, dim), dtype=complex)
+        out[np.ix_(live, live)] = np.outer(amps, amps.conj())
+        return DensityMatrix(self.n, out)
 
 
 @dataclass(frozen=True)
 class DensityMatrix:
     """Hermitian 2^n x 2^n state, possibly subnormalized.
 
-    Hermiticity is checked as max |M - M^H| <= 1e-10, one 64-row strip at a
-    time against the matching column strip, from the strip's diagonal block
-    rightwards: |M - M^H| is symmetric, so this visits every pair (i, j) and
-    takes exactly the full-matrix maximum, while each compared piece stays
-    in cache.  No upper trace bound is enforced: recovery discards the
-    amplitude that leaves the correctable syndrome set (trace < 1), and on
-    degenerate codes the term-by-term recovery sum can overshoot 1 -- callers
-    that need a proper state assert it themselves.  Positivity is not
-    checked: an eigendecomposition per intermediate would dominate the cost
-    of every pipeline.
+    Entries must be finite, and Hermiticity is checked as max |M - M^H| <=
+    1e-10.  Both checks read only the live rows R, those holding a nonzero
+    entry (one pass over M finds them).  Every other entry is 0, so off
+    R x R a pair (i, j) contributes |M_ij| when only row i is live and 0
+    when neither is: max(|B - B^H| on the R x R block B, |M[R, not R]|) is
+    exactly the full-matrix maximum.  No upper trace bound is enforced:
+    recovery discards the amplitude that leaves the correctable syndrome
+    set (trace < 1), and on degenerate codes the term-by-term recovery sum
+    can overshoot 1 -- callers that need a proper state assert it
+    themselves.  Positivity is not checked: an eigendecomposition per
+    intermediate would dominate the cost of every pipeline.
     """
 
     n: int
@@ -73,9 +84,14 @@ class DensityMatrix:
         dim = 1 << self.n
         if mat.shape != (dim, dim):
             raise DomainError(f"expected shape ({dim}, {dim}), got {mat.shape}")
-        strips = [np.abs(mat[i:i + 64, i:] - mat[i:, i:i + 64].conj().T).max()
-                  for i in range(0, dim, 64)]
-        if np.max(strips) > 1e-10:
+        rows = np.flatnonzero(mat.any(axis=1))
+        live = mat[rows]
+        if not np.isfinite(live).all():
+            raise DomainError("matrix has non-finite entries")
+        deviation = np.abs(live)
+        block = live[:, rows]
+        deviation[:, rows] = np.abs(block - block.conj().T)
+        if deviation.max(initial=0.0) > 1e-10:
             raise DomainError("matrix is not Hermitian")
         tr = mat.trace()
         if abs(tr.imag) > 1e-12 or tr.real < -1e-12:
@@ -134,7 +150,7 @@ def apply_recovery(rho: DensityMatrix, pair: CssCodePair) -> DensityMatrix:
         shifted = support ^ mu
         block += rho.entries[np.ix_(shifted, shifted)]
     acc = v.T @ (block * g[support[:, None] ^ support[None, :]]) @ v
-    out = np.zeros_like(rho.entries)
+    out = np.zeros(rho.entries.shape, dtype=complex)
     out[np.ix_(support, support)] = v @ acc @ v.T
     return DensityMatrix(pair.n, out)
 

@@ -196,6 +196,21 @@ def test_alpha_structure(n, pair):
         assert np.ptp(grp) < 1e-14
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 10])
+def test_alpha_matches_transposed_row_transforms(n):
+    # 4^-n W(W(E)^T) with W the row transform: H E^T H, equal to H E H as E
+    # is symmetric; E is formed here from C's closed form, without a table
+    pair = DecoherencePair(0.04, 0.015)
+    idx = np.arange(1 << n)
+    w = index_weights(n)
+    e = np.exp(-((pair.gamma0 - pair.gammaR) * np.bitwise_count(idx[:, None] ^ idx)
+                 + pair.gammaR * (w[:, None] - w) ** 2))
+    ref = walsh_transform(walsh_transform(e).T) * 0.25 ** n
+    got = alpha_matrix(n, pair).entries
+    assert got.flags.c_contiguous
+    assert np.abs(got - ref).max() <= 4 * np.finfo(float).eps * np.abs(ref).max()
+
+
 def test_alpha_diag_equals_beta():
     n = 4
     pair = DecoherencePair(0.04, 0.015)

@@ -132,6 +132,80 @@ def test_density_hermiticity_enforced_at_dim_256(entry, rng):
     DensityMatrix(8, near)
 
 
+def _hermitian_cases(rng) -> list[np.ndarray]:
+    # 16 x 16 matrices live on rows {1, 5, 6, 12} plus edits around them;
+    # every case has a real, nonnegative trace
+    dim = 16
+    live = [1, 5, 6, 12]
+    base = np.zeros((dim, dim), dtype=complex)
+    base[np.ix_(live, live)] = random_density(2, rng)
+    cases = [np.zeros((dim, dim), dtype=complex), base,
+             np.broadcast_to(np.zeros(1, dtype=complex), (dim, dim)),
+             np.broadcast_to(np.full(1, 1.0 / dim, dtype=complex), (dim, dim)),
+             np.broadcast_to(np.linspace(0.0, 0.1, dim).astype(complex), (dim, dim))]
+    for dev in (0.9e-10, 1.1e-10):
+        for i, j in ((5, 3), (3, 5), (1, 12), (0, 15)):
+            # (5, 3) and (0, 15) pair an entry with a zero row; (3, 5) makes
+            # row 3 live against a zero entry in row 5's column 3
+            edited = base.copy()
+            edited[i, j] += dev * 1j
+            cases += [edited, edited.T, np.kron(edited, np.ones((2, 2)))[::2, ::2]]
+    return cases
+
+
+def test_hermiticity_decides_as_full_matrix_maximum(rng):
+    decisions = []
+    for mat in _hermitian_cases(rng):
+        full = np.abs(mat - mat.conj().T).max()
+        try:
+            DensityMatrix(4, mat)
+            accepted = True
+        except DomainError:
+            accepted = False
+        assert accepted == (full <= 1e-10)
+        decisions.append(accepted)
+    assert any(decisions) and not all(decisions)
+
+
+@pytest.mark.parametrize("entries", [
+    [[np.nan, 0.0], [0.0, 0.0]],
+    [[0.5, np.inf], [np.inf, 0.5]],
+    [[0.5, complex(np.inf, np.inf)], [complex(np.inf, -np.inf), 0.5]],
+], ids=["nan_diagonal", "inf_off_diagonal", "complex_inf_off_diagonal"])
+def test_density_rejects_non_finite(entries):
+    with pytest.raises(DomainError):
+        DensityMatrix(1, np.array(entries, dtype=complex))
+
+
+def test_pure_state_rejects_non_finite():
+    with pytest.raises(DomainError):
+        PureState(1, np.array([np.nan, 1.0]))
+
+
+def test_to_density_equals_full_outer_product(steane, rng):
+    psi = encode(random_state(1, rng).amplitudes, steane)
+    rho = psi.to_density().entries
+    assert np.array_equal(rho, np.outer(psi.amplitudes, psi.amplitudes.conj()))
+    assert np.count_nonzero(rho) == 16 * 16
+
+
+def test_residual_exact_is_the_call_by_call_chain(steane):
+    """residual_exact is encode -> to_density -> apply_channel -> apply_recovery
+    -> vdot and nothing else: the chain called step by step gives the same bits."""
+    rng = np.random.default_rng(10)
+    code = sample_random_css(10, 1, rng)
+    while code.t < 1:
+        code = sample_random_css(10, 1, rng)
+    dec = DecoherencePair(0.02, 0.008)
+    for pair in (steane, code):
+        psi = random_state(pair.k, rng)
+        encoded = encode(psi.amplitudes, pair)
+        noisy = apply_channel(encoded.to_density(), dec)
+        recovered = apply_recovery(noisy, pair)
+        fid = np.vdot(encoded.amplitudes, recovered.entries @ encoded.amplitudes)
+        assert residual_exact(psi, dec, pair) == 1.0 - float(fid.real)
+
+
 def test_to_density_checks_bytes_before_allocating():
     state = x_polarized_state(13)
     tracemalloc.start()

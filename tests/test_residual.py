@@ -50,17 +50,17 @@ def test_independent_zero_gamma_is_zero():
 
 
 def test_independent_matches_exact_binomial_sum():
-    # explicit tail sum in rational arithmetic on the binary-rational p_o
+    # explicit tail sum in rational arithmetic on p_o = (1 - e^-g0)/2, with
+    # 1 - e^-x from its alternating series on the exact double g0 (30 terms
+    # leave a remainder below x^31/31!)
     n, t, g0 = 20, 1, 0.01
-    p = Fraction(1) - Fraction(math.exp(-g0))
-    p = p / 2
+    x = Fraction(g0)
+    p = sum((-1) ** (k + 1) * x**k / math.factorial(k) for k in range(1, 31)) / 2
     tail = sum(
         Fraction(math.comb(n, w)) * p**w * (1 - p) ** (n - w)
         for w in range(t + 1, n + 1)
     )
-    # abs stays at pytest's default 1e-12: with abs=0 this check fails, the
-    # library's tail being 1.1e-14 relative off (a FOUND in CHANGES.md)
-    assert independent_residual(n, t, g0) == pytest.approx(float(tail), rel=1e-14)
+    assert independent_residual(n, t, g0) == pytest.approx(float(tail), rel=1e-14, abs=0.0)
 
 
 def exact_tail(n: int, t: int, p: float) -> Fraction:
