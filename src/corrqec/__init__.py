@@ -26,7 +26,7 @@ from .oracle import *
 # the __all__ of each lazy layer; tests/test_imports.py keeps them in step
 _LAZY = {
     "bath": (
-        "BathParams", "GeometryParams", "QuadratureConfig", "GammaEstimate",
+        "BathParams", "GeometryParams", "GammaEstimate",
         "spectral_density", "decoherence_integrand", "gamma", "gamma_detailed",
         "gamma_pair", "scaled_gamma", "scaling_identity_sides",
     ),

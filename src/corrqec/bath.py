@@ -36,10 +36,9 @@ import numpy as np
 
 from .dephasing import DecoherencePair
 from .errors import ConvergenceError, DomainError
-from .quadrature import QuadratureConfig
 
 __all__ = [
-    "BathParams", "GeometryParams", "QuadratureConfig", "GammaEstimate",
+    "BathParams", "GeometryParams", "GammaEstimate",
     "spectral_density", "decoherence_integrand", "gamma", "gamma_detailed",
     "gamma_pair", "scaled_gamma", "scaling_identity_sides",
 ]

@@ -8,31 +8,12 @@ on 15 abscissae per panel gives both.  The panel value is K15 and its
 error estimate |K15 - G7|: that bounds the error of G7 and overstates the
 error of the returned K15, which is exact to polynomial degree 23 against
 G7's 13.
-
-QuadratureConfig, the tolerances and budgets of the decoherence integral,
-lives here rather than in bath so that a caller can build one without
-loading bath; bath re-exports it.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Tolerances and panel budget for the body of the decoherence integral.
-
-    abs_tol=None selects the default 1e-12 * A * Omega^(s-1).  The head's
-    Gauss-Jacobi rule is fixed at 24 nodes (12 for its error estimate).
-    """
-
-    abs_tol: float | None = None
-    rel_tol: float = 1e-9
-    max_panels: int = 200_000
 
 
 # QUADPACK dqk15 on [-1, 1]: the positive Kronrod nodes, outermost first

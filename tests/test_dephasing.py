@@ -211,6 +211,44 @@ def test_alpha_matches_transposed_row_transforms(n):
     assert np.abs(got - ref).max() <= 4 * np.finfo(float).eps * np.abs(ref).max()
 
 
+def _walsh_long_double(m: np.ndarray, axis: int) -> np.ndarray:
+    # in-place butterflies of the unnormalized Walsh transform along one axis:
+    # (a, b) -> (a + b, (a + b) - 2b)
+    m = np.moveaxis(m, axis, -1)
+    dim, h = m.shape[-1], 1
+    while h < dim:
+        v = m.reshape(m.shape[:-1] + (dim // (2 * h), 2, h))
+        v[..., 0, :] += v[..., 1, :]
+        v[..., 1, :] *= -2
+        v[..., 1, :] += v[..., 0, :]
+        h *= 2
+    return np.moveaxis(m, -1, axis)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="np.longdouble has no extra precision on this platform")
+@pytest.mark.parametrize("n", [7, 9, 10])
+def test_alpha_matches_long_double_walsh_reference(n):
+    """alpha_matrix, gathered from its weight classes, is within 4 eps max|alpha|
+    of H exp(-C) H / 4^n with exp(-C) and both transforms in long double."""
+    idx = np.arange(1 << n)
+    w = index_weights(n).astype(np.int64)
+    flips = np.bitwise_count(idx[:, None] ^ idx)
+    dw = w[:, None] - w
+    grid_f = np.arange(n + 1, dtype=np.longdouble)[:, None]
+    grid_dw = np.arange(-n, n + 1, dtype=np.longdouble)
+    for pair in (DecoherencePair(0.02, 0.008), DecoherencePair(0.3, 0.0),
+                 DecoherencePair(1.5, 1.2)):
+        g0, gr = np.longdouble(pair.gamma0), np.longdouble(pair.gammaR)
+        # exp(-C) per (flips, dw) in long double, then spread over the matrix
+        table = np.exp(-((g0 - gr) * grid_f + gr * grid_dw ** 2))
+        e = table[flips, dw + n]
+        ref = _walsh_long_double(_walsh_long_double(e, 0), 1) / np.longdouble(4) ** n
+        got = alpha_matrix(n, pair).entries
+        err = np.abs(got - ref).max()
+        assert err <= 4 * np.finfo(float).eps * np.abs(ref).max()
+
+
 def test_alpha_diag_equals_beta():
     n = 4
     pair = DecoherencePair(0.04, 0.015)

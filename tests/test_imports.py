@@ -172,7 +172,7 @@ def test_lazy_names_match_the_layers():
                              "scalability": tuple(scalability.__all__)}
     modules = (errors, bath, dephasing, codes, oracle, residual, scalability)
     expected = {name for mod in modules for name in mod.__all__} | {"__version__"}
-    assert len(corrqec.__all__) == len(expected) == 62
+    assert len(corrqec.__all__) == len(expected) == 61
     assert set(corrqec.__all__) == expected
     assert set(corrqec.__all__) <= set(dir(corrqec))
     namespace = {}

@@ -189,21 +189,38 @@ def test_to_density_equals_full_outer_product(steane, rng):
     assert np.count_nonzero(rho) == 16 * 16
 
 
-def test_residual_exact_is_the_call_by_call_chain(steane):
-    """residual_exact is encode -> to_density -> apply_channel -> apply_recovery
-    -> vdot and nothing else: the chain called step by step gives the same bits."""
+def _chain_residual(psi: PureState, dec: DecoherencePair, pair: CssCodePair) -> float:
+    """residual_exact's reference route: encode -> to_density -> apply_channel
+    -> apply_recovery -> vdot, each step on dense 2^n x 2^n matrices."""
+    encoded = encode(psi.amplitudes, pair)
+    noisy = apply_channel(encoded.to_density(), dec)
+    recovered = apply_recovery(noisy, pair)
+    fid = np.vdot(encoded.amplitudes, recovered.entries @ encoded.amplitudes)
+    return 1.0 - float(fid.real)
+
+
+def test_residual_exact_matches_the_dense_chain(steane):
+    """residual_exact sums over C1 x C1 alone; the dense chain, over all 2^n
+    indices and every recovery term, agrees to rounding."""
     rng = np.random.default_rng(10)
-    code = sample_random_css(10, 1, rng)
-    while code.t < 1:
-        code = sample_random_css(10, 1, rng)
-    dec = DecoherencePair(0.02, 0.008)
-    for pair in (steane, code):
-        psi = random_state(pair.k, rng)
-        encoded = encode(psi.amplitudes, pair)
-        noisy = apply_channel(encoded.to_density(), dec)
-        recovered = apply_recovery(noisy, pair)
-        fid = np.vdot(encoded.amplitudes, recovered.entries @ encoded.amplitudes)
-        assert residual_exact(psi, dec, pair) == 1.0 - float(fid.real)
+    pairs = [steane]
+    for n, k in ((8, 1), (9, 2), (10, 1)):
+        for want_t1 in (False, True):
+            code = sample_random_css(n, k, rng)
+            while (code.t >= 1) != want_t1:
+                code = sample_random_css(n, k, rng)
+            pairs.append(code)
+    seen = []
+    for pair in pairs:
+        for dec in (DecoherencePair(0.02, 0.008), DecoherencePair(0.3, 0.0)):
+            psi = random_state(pair.k, rng)
+            got = residual_exact(psi, dec, pair)
+            assert abs(got - _chain_residual(psi, dec, pair)) <= 2e-15
+            seen.append((pair.t, got))
+    # t = 0 and t >= 1 both occur, and so does a degenerate code whose
+    # term-by-term recovery sum overshoots 1 (a negative residual)
+    assert {t >= 1 for t, _ in seen} == {False, True}
+    assert min(value for _, value in seen) < 0.0
 
 
 def test_to_density_checks_bytes_before_allocating():
