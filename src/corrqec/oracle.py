@@ -1,19 +1,17 @@
 """Exact small-n simulation: encode, dephase, recover, and score fidelity.
 
-This module is the ground-truth side of every cross-check, up to n = 10.
-residual_exact sums over C1 x C1 alone: Z-only noise keeps an encoded
-state on the 2^dim(C1) indices of C1, and there only the identity X term
-of the recovery survives, so a residual costs 4^dim(C1) work and builds no
-2^n x 2^n object.  The dense chain encode -> PureState.to_density ->
-apply_channel -> apply_recovery is the independent reference route for it.
-Its states and density matrices are dense 2^n objects (any dense matrix
-within the 2^28-byte budget), but the kernels only compute where their
-result can be nonzero: to_density fills only the C1 x C1 block of
+This module is the ground-truth side of every cross-check.  States and
+density matrices are dense 2^n objects (full pipelines up to n = 10, any
+dense matrix within the 2^28-byte budget), but the kernels only compute
+where their result can be nonzero: an encoded state lives on the
+2^dim(C1) indices of C1, so to_density fills only that block of
 |psi><psi|, the channel decays only the rows where its input is nonzero,
 recovery reads only the C1 x C1 block through the isometry, and the
 DensityMatrix checks read only the nonzero rows.  Each restriction skips
 exact zeros only: the checks decide exactly as on the full matrix, and the
-results equal the full-index computation up to rounding.
+results equal the full-index computation up to rounding.  residual_exact
+does the chain's arithmetic on the C1 x C1 block and forms one dense matrix,
+for the final product, so its value is the chain's bit for bit.
 """
 from __future__ import annotations
 
@@ -146,17 +144,22 @@ def apply_recovery(rho: DensityMatrix, pair: CssCodePair) -> DensityMatrix:
     if pair.n > _PIPELINE_CAP:
         raise SizeLimitError(f"recovery is capped at n = {_PIPELINE_CAP}")
     support = pair.c1.codeword_array().astype(np.intp)
-    v = _isometry(pair)[support]
-    mask = index_weights(pair.n) <= pair.t
-    g = walsh_transform(mask.astype(float))
     block = np.zeros((support.size, support.size), dtype=complex)
-    for mu in np.flatnonzero(mask):
+    for mu in np.flatnonzero(index_weights(pair.n) <= pair.t):
         shifted = support ^ mu
         block += rho.entries[np.ix_(shifted, shifted)]
-    acc = v.T @ (block * g[support[:, None] ^ support[None, :]]) @ v
     out = np.zeros(rho.entries.shape, dtype=complex)
-    out[np.ix_(support, support)] = v @ acc @ v.T
+    out[np.ix_(support, support)] = _sandwich(block, pair, support)
     return DensityMatrix(pair.n, out)
+
+
+def _sandwich(block: np.ndarray, pair: CssCodePair, support: np.ndarray) -> np.ndarray:
+    # apply_recovery's output on S x S from the mu-summed S x S input block:
+    # V_S (V_S^T (block o g[S xor S]) V_S) V_S^T
+    v = _isometry(pair)[support]
+    g = walsh_transform((index_weights(pair.n) <= pair.t).astype(float))
+    acc = v.T @ (block * g[support[:, None] ^ support[None, :]]) @ v
+    return v @ acc @ v.T
 
 
 def fidelity_formula(psi: PureState, alpha: AlphaMatrix, pair: CssCodePair) -> float:
@@ -181,34 +184,45 @@ def fidelity_formula(psi: PureState, alpha: AlphaMatrix, pair: CssCodePair) -> f
 
 def residual_exact(psi: PureState, pair_dec: DecoherencePair,
                    pair_code: CssCodePair) -> float:
-    """1 - fidelity of encode -> dephase -> recover, on the C1 x C1 block alone.
+    """1 - fidelity of encode -> dephase -> recover, computed on C1 x C1.
 
-    psi holds the logical amplitudes (a k-qubit state).  The encoded state
-    lives on S = C1, with measurement weights p = |V_S psi|^2 (V_S the rows
-    of the isometry on S), and Z-only noise keeps it on S x S.  The X_mu
-    term of apply_recovery reads the state on (S xor mu) x (S xor mu), which
-    misses S for 0 < |mu| <= t: every nonzero codeword of C1 has weight
-    d1 >= 2t + 1 > |mu|.  Only mu = 0 is left, and the fidelity is
-
-        F = sum over i, j in S of p_i p_j exp(-C[i, j]) g[i xor j],
-
-    with g the Walsh transform of the weight-<=t indicator (apply_recovery's
-    Z sum).  The cost is 4^dim(C1) entries, with no 2^n x 2^n object.  The
-    dense chain encode -> to_density -> apply_channel -> apply_recovery is
-    the reference route: the two agree within 2e-15 on Steane and on random
-    codes at n = 8..10, degenerate ones included.
+    psi holds the logical amplitudes (a k-qubit state).  The result is bit
+    for bit that of the call-by-call chain encode -> PureState.to_density ->
+    apply_channel -> apply_recovery -> vdot(psi, R psi), but only the last
+    product touches a 2^n x 2^n matrix.  The encoded state lives on its
+    nonzero amplitudes L, a subset of S = C1, so the density matrix and its
+    decay are the L x L block, each entry the same product as in the chain.
+    Z-only noise keeps that block inside S x S, and the X_mu term of
+    recovery reads (S xor mu) x (S xor mu), which misses S for 0 < |mu| <=
+    t: every nonzero codeword of C1 has weight d1 >= 2t + 1 > |mu|.  So
+    recovery's mu sum is the mu = 0 block alone, and the recovered R is
+    apply_recovery's S x S sandwich of it.  R is then scattered into a dense
+    matrix for R psi and the vdot, as the chain forms them: a sum over S
+    alone would round differently (by up to 1.6e-15 at n <= 10).  Of the
+    chain's DensityMatrix checks only finiteness can fail on these inputs
+    (a DecoherencePair may hold inf), and it is kept.
     """
     if psi.n != pair_code.k:
         raise DomainError(f"logical state has {psi.n} qubits, code expects {pair_code.k}")
     if pair_code.n > _PIPELINE_CAP:
         raise SizeLimitError(f"exact pipeline is capped at n = {_PIPELINE_CAP}")
     n = pair_code.n
+    amps = encode(psi.amplitudes, pair_code).amplitudes
+    live = np.flatnonzero(amps)
+    noisy = np.outer(amps[live], amps[live].conj())
+    noisy *= _pair_decay(n, pair_dec, live, live)
+    if not np.isfinite(noisy).all():
+        raise DomainError("dephased state has non-finite entries")
     support = pair_code.c1.codeword_array().astype(np.intp)
-    p = np.abs(_isometry(pair_code)[support] @ psi.amplitudes) ** 2
-    g = walsh_transform((index_weights(n) <= pair_code.t).astype(float))
-    kernel = _pair_decay(n, pair_dec, support, support)
-    kernel *= g[support[:, None] ^ support]
-    return 1.0 - float(p @ kernel @ p)
+    at = np.full(1 << n, -1)
+    at[live] = np.arange(live.size)
+    hit = at[support] >= 0
+    block = np.zeros((support.size, support.size), dtype=complex)
+    block[np.ix_(hit, hit)] = noisy[np.ix_(at[support[hit]], at[support[hit]])]
+    recovered = np.zeros((1 << n, 1 << n), dtype=complex)
+    recovered[np.ix_(support, support)] = _sandwich(block, pair_code, support)
+    fid = np.vdot(amps, recovered @ amps)
+    return 1.0 - float(fid.real)
 
 
 def x_polarized_state(n: int) -> PureState:

@@ -189,19 +189,11 @@ def test_to_density_equals_full_outer_product(steane, rng):
     assert np.count_nonzero(rho) == 16 * 16
 
 
-def _chain_residual(psi: PureState, dec: DecoherencePair, pair: CssCodePair) -> float:
-    """residual_exact's reference route: encode -> to_density -> apply_channel
-    -> apply_recovery -> vdot, each step on dense 2^n x 2^n matrices."""
-    encoded = encode(psi.amplitudes, pair)
-    noisy = apply_channel(encoded.to_density(), dec)
-    recovered = apply_recovery(noisy, pair)
-    fid = np.vdot(encoded.amplitudes, recovered.entries @ encoded.amplitudes)
-    return 1.0 - float(fid.real)
-
-
-def test_residual_exact_matches_the_dense_chain(steane):
-    """residual_exact sums over C1 x C1 alone; the dense chain, over all 2^n
-    indices and every recovery term, agrees to rounding."""
+def test_residual_exact_is_the_call_by_call_chain(steane):
+    """residual_exact, on the C1 x C1 block, gives the bits of encode ->
+    to_density -> apply_channel -> apply_recovery -> vdot called step by step:
+    t = 0 and t >= 1, gammaR = 0, a logical basis state (zero amplitudes on
+    part of C1) and degenerate codes whose residual is negative."""
     rng = np.random.default_rng(10)
     pairs = [steane]
     for n, k in ((8, 1), (9, 2), (10, 1)):
@@ -210,17 +202,28 @@ def test_residual_exact_matches_the_dense_chain(steane):
             while (code.t >= 1) != want_t1:
                 code = sample_random_css(n, k, rng)
             pairs.append(code)
-    seen = []
+    values = []
     for pair in pairs:
-        for dec in (DecoherencePair(0.02, 0.008), DecoherencePair(0.3, 0.0)):
-            psi = random_state(pair.k, rng)
-            got = residual_exact(psi, dec, pair)
-            assert abs(got - _chain_residual(psi, dec, pair)) <= 2e-15
-            seen.append((pair.t, got))
-    # t = 0 and t >= 1 both occur, and so does a degenerate code whose
-    # term-by-term recovery sum overshoots 1 (a negative residual)
-    assert {t >= 1 for t, _ in seen} == {False, True}
-    assert min(value for _, value in seen) < 0.0
+        basis = np.zeros(1 << pair.k)
+        basis[0] = 1.0
+        for psi in (random_state(pair.k, rng), PureState(pair.k, basis)):
+            for dec in (DecoherencePair(0.02, 0.008), DecoherencePair(0.3, 0.0)):
+                encoded = encode(psi.amplitudes, pair)
+                noisy = apply_channel(encoded.to_density(), dec)
+                recovered = apply_recovery(noisy, pair)
+                fid = np.vdot(encoded.amplitudes, recovered.entries @ encoded.amplitudes)
+                values.append(residual_exact(psi, dec, pair))
+                assert values[-1] == 1.0 - float(fid.real)
+    assert min(values) < 0.0
+
+
+@pytest.mark.parametrize("dec", [DecoherencePair(math.inf, 0.0),
+                                 DecoherencePair(math.inf, math.inf)], ids=["inf_0", "inf_inf"])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_residual_exact_rejects_non_finite_pair(steane, dec):
+    # DecoherencePair admits inf; exp(-C) then holds 0 * inf or inf - inf
+    with pytest.raises(DomainError):
+        residual_exact(random_state(1, np.random.default_rng(3)), dec, steane)
 
 
 def test_to_density_checks_bytes_before_allocating():
