@@ -25,12 +25,21 @@ them, and near them the pole is taken out analytically.  Every form bounds
 its rounding error, so the estimate of gamma_detailed bounds the error of
 the value.  decoherence_integrand writes the integrand out for checks; the
 closed form does not use it.
+
+The points a_m, their weights and everything the forms read of them alone
+(Gamma(x), the pole coefficients, the series' Gamma ratios) are built once
+per bath and kept in a cache.  The forms take r and tau as arrays aligned
+with the points, so one call evaluates a batch of geometries of one bath:
+gamma_detailed is the batch of one, gamma_pair a batch of two, and the
+scalability verdict one batch per n grid.  Every geometry keeps its own
+sums, and its value and estimate are the same bits in any batch.
 """
 from __future__ import annotations
 
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -145,10 +154,11 @@ def decoherence_integrand(omega, bath: BathParams, geom: GeometryParams) -> np.n
 
 # ---------------------------------------------------------------- closed form
 #
-# Each form takes 1-d arrays a > 0 and integer offsets k of the exponents
-# x = s + k, and the scalars s, r, tau; it returns F_x(a) a^x (the caller
-# applies a^-x with its weight) and a bound on the rounding error of that
-# value.  Every form works in zeta = z/a = 1 - i q, q = (phase)/a.
+# Each form takes one bath's _Points, the indices i of the points it
+# evaluates and the rows (r, tau, (tau - r)^2) of their geometries, aligned
+# with i; it returns F_x(a) a^x (the caller applies a^-x with its weight)
+# and a bound on the rounding error of that value.  Every form works in
+# zeta = z/a = 1 - i q, q = (phase)/a.
 
 _MATSUBARA = 24  # Matsubara terms m < 24 are summed one by one
 _BERNOULLI = np.array([1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730])  # B_2 .. B_12
@@ -163,19 +173,41 @@ _ALTERNATE = np.where(np.arange(1, 25) % 2 == 1, 1.0, -1.0)  # (-1)^(j+1)
 _POLAR = 0.125  # r < tau/8 takes the polar difference
 _EPS = float(np.finfo(float).eps)
 _COND = 8.0  # rounding of one term in eps, before its exponent's share
+_BLOCK = 1 << 16  # elements of a block's widest array, its points x 24 series terms
 
 
-def _gamma_of(s: float, k: np.ndarray) -> np.ndarray:
-    """Gamma(s + k) for integers k: below k = 0 by Gamma(s)/(s - 1)...(s + k),
+class _Points(NamedTuple):
+    """One bath's Matsubara points (_matsubara) and what the forms read of
+    them at every geometry: Gamma = A sum w F_x(a) a^x, x = s + k.
+
+    gamma is Gamma(x) (nan at a pole, where only the pole form is taken),
+    coef the pole coefficient Gamma(x)(x + n) at n = -round(x) where
+    0 <= n <= 2 (nan elsewhere), and ratios the series' rows
+    Gamma(b + 2j)/(2j)!, b = x at r = 0 and x + 1 at r > 0.  Each comes from
+    the scalar arithmetic of _gamma_of, _pole_coef and _gamma_ratios.
+    """
+
+    s: float
+    cross: bool  # r > 0: exponents e = s - 2, three phases
+    a: np.ndarray
+    k: np.ndarray
+    w: np.ndarray
+    x: np.ndarray
+    gamma: np.ndarray
+    coef: np.ndarray
+    ratios: np.ndarray
+
+
+def _gamma_of(s: float, k: float) -> float:
+    """Gamma(s + k) for an integer k: below k = 0 by Gamma(s)/(s - 1)...(s + k),
     each factor s + i rounded once, so that no rounding of s + k meets the
-    pole nearby (s -> 0, where Gamma(s - 2) ~ 1/s)."""
-    out = []
-    for kk in k.tolist():
-        g = math.gamma(s + kk) if kk >= 0 else math.gamma(s)
-        for i in range(int(kk), 0):
-            g /= s + i
-        out.append(g)
-    return np.array(out)
+    pole nearby (s -> 0, where Gamma(s - 2) ~ 1/s); nan at the pole itself."""
+    g = math.gamma(s + k) if k >= 0 else math.gamma(s)
+    for i in range(int(k), 0):
+        if s + i == 0.0:
+            return math.nan
+        g /= s + i
+    return g
 
 
 def _expm1_ratio(w: np.ndarray) -> np.ndarray:
@@ -197,14 +229,13 @@ def _pole(s: float, k: np.ndarray, top: int, spread: np.ndarray):
     return np.where(mask, n, 0.0), d, mask
 
 
-def _pole_coef(x: np.ndarray, n: np.ndarray) -> np.ndarray:
+def _pole_coef(x: float, n: float) -> float:
     """Gamma(x) (x + n) = Gamma(x + n + 1)/(x ... (x + n - 1)), n in {0, 1, 2},
     finite at x = -n."""
-    return np.array([math.gamma(v + k + 1.0) / (1.0 if k == 0.0 else v if k == 1.0 else v * (v + 1.0))
-                     for v, k in zip(x.tolist(), n.tolist())])
+    return math.gamma(x + n + 1.0) / (1.0 if n == 0.0 else x if n == 1.0 else x * (x + 1.0))
 
 
-def _phases(ln_mod, theta, w, s, k, n, d, pole, real: bool):
+def _phases(pts, i, ln_mod, theta, w, n, d, pole, real: bool):
     """sum_j w_j Gamma(x) P zeta_j^-x, zeta_j = |zeta_j| e^(-i theta_j), P = Re
     (real) or Im, in real arithmetic: rows are phases, columns points.
 
@@ -218,13 +249,13 @@ def _phases(ln_mod, theta, w, s, k, n, d, pole, real: bool):
     E(w) = expm1(w)/w.  Every piece keeps its relative accuracy when theta
     is small, and so does its error bound.
     """
-    x = s + k
+    x = pts.x[i]
     trig, turn_trig = (np.cos, np.sin) if real else (np.sin, np.cos)
     val = err = 0.0
     if not pole.all():
         mod = w * np.exp(-x * ln_mod)
         t = trig(x * theta)
-        g = _gamma_of(s, np.where(pole, 0.0, k))  # the plain form is not used at a pole
+        g = pts.gamma[i]  # nan at a pole, whose points np.where replaces
         val = g * (mod * t).sum(axis=0)
         err = np.abs(g) * (np.abs(mod) * (np.abs(t) * (_COND + np.abs(x * ln_mod))
                                           + np.abs(x * theta))).sum(axis=0)
@@ -235,37 +266,42 @@ def _phases(ln_mod, theta, w, s, k, n, d, pole, real: bool):
         turn = theta * turn_trig((n - 0.5 * d) * theta) * np.divide(
             np.sin(half), half, out=np.ones_like(half), where=half != 0.0)
         q = size * (fall - turn if real else -fall - turn)
-        c = _pole_coef(x, n)
+        c = pts.coef[i]
         val = np.where(pole, -c * q.sum(axis=0), val)
         err = np.where(pole, np.abs(c) * (np.abs(size) * (np.abs(fall) * (_COND + np.abs(d * ln_mod))
                                                            + _COND * np.abs(turn))).sum(axis=0), err)
     return val, _EPS * err
 
 
-def _direct(a, s, k, r, tau):
+_W_ZERO = np.array([[1.0], [-1.0]])  # phases (0, tau) at r = 0
+_W_CROSS = np.array([[1.0], [-0.5], [-0.5]])  # phases (r, r + tau, r - tau)
+
+
+def _direct(pts, i, geo):
     """F_x from its phases p_j: r = 0: p = (0, tau), w = (1, -1), P = Re;
     r > 0: p = (r, r + tau, r - tau), w = (1, -1/2, -1/2), P = Im / r."""
-    if r == 0.0:
-        p, w, top = np.array([[0.0], [tau]]), np.array([[1.0], [-1.0]]), 1
+    r, tau, _ = geo
+    if pts.cross:
+        p, w, top = np.array([r, r + tau, r - tau]), _W_CROSS, 2
     else:
-        p, w, top = np.array([[r], [r + tau], [r - tau]]), np.array([[1.0], [-0.5], [-0.5]]), 2
-    q = p / a
+        p, w, top = np.array([np.zeros_like(tau), tau]), _W_ZERO, 1
+    q = p / pts.a[i]
     ln_mod = 0.5 * np.log1p(q * q)
-    n, d, pole = _pole(s, k, top, ln_mod.max(axis=0))
-    val, err = _phases(ln_mod, np.arctan(q), w, s, k, n, d, pole, r == 0.0)
-    return (val, err) if r == 0.0 else (val / r, err / r)
+    n, d, pole = _pole(pts.s, pts.k[i], top, ln_mod.max(axis=0))
+    val, err = _phases(pts, i, ln_mod, np.arctan(q), w, n, d, pole, not pts.cross)
+    return (val / r, err / r) if pts.cross else (val, err)
 
 
-def _gamma_ratios(s: float, k: np.ndarray, c: int) -> np.ndarray:
-    """Gamma(b + 2j)/(2j + c)! for j = 1 .. 24, b = s + k, one row per b, by
+def _gamma_ratios(s: float, k: np.ndarray) -> np.ndarray:
+    """Gamma(b + 2j)/(2j)! for j = 1 .. 24, b = s + k, one row per b, by
     recurrence; b + 2j is rounded once from s."""
     y = s + (k[:, None] + _TWO_J[:-1])
-    step = y * (y + 1.0) / ((_TWO_J[:-1] + (c + 1.0)) * (_TWO_J[:-1] + (c + 2.0)))
-    first = _gamma_of(s, k + 2.0) / math.factorial(2 + c)
+    step = y * (y + 1.0) / ((_TWO_J[:-1] + 1.0) * (_TWO_J[:-1] + 2.0))
+    first = np.array([_gamma_of(s, v) for v in (k + 2.0).tolist()]) / 2.0
     return np.cumprod(np.concatenate([first[:, None], step], axis=1), axis=1)
 
 
-def _series(a, s, k, r, tau):
+def _series(pts, i, geo):
     """F_x as the series in u = i tau/z, |u| <= 1/4, free of the cancellation
     between the phases: sum_(j>=1) (-1)^(j+1) Gamma(y)/(2j)! v^(2j) P zeta^-y,
     y = x + 2j, v = tau/a, zeta = 1 - i r/a, P zeta^-y = 1 at r = 0 (y > 0
@@ -273,16 +309,18 @@ def _series(a, s, k, r, tau):
     |zeta|^-y theta sinc(y theta), theta = arctan(r/a), so no pole forms at
     y = x + 2 = 0 (s = 1 in the Euler-Maclaurin integral), and a small angle
     r << a keeps its relative accuracy."""
-    y = s + (k[:, None] + _TWO_J)
+    r, tau, _ = geo
+    a = pts.a[i]
     powers = np.log(tau / a)[:, None] * _TWO_J  # ln v^(2j)
-    if r == 0.0:
-        size = t = _gamma_ratios(s, k, 0) * np.exp(powers)
+    if not pts.cross:
+        size = t = pts.ratios[i] * np.exp(powers)
         bound = np.abs(size) * (_COND + _TWO_J)
     else:
+        y = pts.s + (pts.k[i][:, None] + _TWO_J)
         rho = r / a
         theta = np.arctan(rho)[:, None]
         half_log = 0.5 * np.log1p(rho * rho)[:, None]  # ln |zeta|
-        size = _gamma_ratios(s, k + 1.0, 0) * np.exp(powers - y * half_log) * (theta / r)
+        size = pts.ratios[i] * np.exp(powers - y * half_log) * (theta / r[:, None])
         ang = y * theta
         sinc = np.divide(np.sin(ang), ang, out=np.ones_like(ang), where=ang != 0.0)
         t = size * sinc
@@ -290,7 +328,7 @@ def _series(a, s, k, r, tau):
     return (_ALTERNATE * t).sum(axis=1), _EPS * bound.sum(axis=1) + np.abs(size[:, -1])
 
 
-def _polar(a, s, k, r, tau):
+def _polar(pts, i, geo):
     """F_x where r < tau/8 and tau > |z|/4, by the polar difference of the tau phases.
 
     -(z1^-x + conj(z2)^-x)/2 with z1 = a - i(tau + r), z2 = a - i(tau - r)
@@ -300,18 +338,19 @@ def _polar(a, s, k, r, tau):
     z2^n [log z2 E(-d log z2) expm1(-x Lam) + e^(n Lam) Lam E(-d Lam)].
     The phase r itself takes _phases.
     """
-    x = s + k
+    r, tau, gap2 = geo
+    a, x = pts.a[i], pts.x[i]
     qr, q2 = r / a, (tau - r) / a
     ln_r = 0.5 * np.log1p(qr * qr)
     l2 = 0.5 * np.log1p(q2 * q2) - 1j * np.arctan(q2)  # log zeta2, without numpy's slow complex log
-    lam = (0.5 * np.log1p(4.0 * tau * r / (a * a + (tau - r) ** 2))
+    lam = (0.5 * np.log1p(4.0 * tau * r / (a * a + gap2))
            - 1j * np.arctan2(2.0 * a * r, a * a + tau * tau - r * r))
-    n, d, pole = _pole(s, k, 2, np.maximum(ln_r, l2.real + lam.real))
-    val, err = _phases(ln_r[None], np.arctan(qr)[None], 1.0, s, k, n, d, pole, False)
+    n, d, pole = _pole(pts.s, pts.k[i], 2, np.maximum(ln_r, l2.real + lam.real))
+    val, err = _phases(pts, i, ln_r[None], np.arctan(qr)[None], 1.0, n, d, pole, False)
     grow = np.expm1(-x * lam)
     pair = pair_err = 0.0
     if not pole.all():
-        g = _gamma_of(s, np.where(pole, 0.0, k))
+        g = pts.gamma[i]
         p = np.exp(-x * l2) * grow
         pair = -0.5 * g * p.imag
         pair_err = 0.5 * np.abs(g * p) * (_COND + np.abs(x * l2) + np.abs(x * lam))
@@ -319,7 +358,7 @@ def _polar(a, s, k, r, tau):
         grow = l2 * _expm1_ratio(-d * l2) * grow
         turn = np.exp(n * lam) * lam * _expm1_ratio(-d * lam)
         z2n = (1.0 - 1j * q2) ** n
-        c = _pole_coef(x, n)
+        c = pts.coef[i]
         pair = np.where(pole, 0.5 * c * (z2n * (grow + turn)).imag, pair)
         pair_err = np.where(pole, 0.5 * np.abs(c * z2n) * (
             np.abs(grow) * (_COND + np.abs(d * l2) + np.abs(x * lam))
@@ -327,33 +366,39 @@ def _polar(a, s, k, r, tau):
     return (val + pair) / r, (err + _EPS * pair_err) / r
 
 
-def _transform(a, s, k, r, tau):
-    """F_x(a) a^x and its rounding bound, each point in the form free of
+def _transform(pts, rs, taus):
+    """F_x(a) a^x and its rounding bound at every point of every geometry
+    (rs, taus), one row per geometry, each point in the form free of
     cancellation there: the series where tau <= |z|/4 (r >> tau, or
     tau << a); else at r > 0 the polar difference where r < tau/8; else the
     phases themselves."""
-    series = tau <= _SERIES * np.hypot(a, r)
-    rest = _polar if 0.0 < r < _POLAR * tau else _direct
-    if series.all():
-        return _series(a, s, k, r, tau)
-    if not series.any():
-        return rest(a, s, k, r, tau)
-    val, err = np.empty_like(a), np.empty_like(a)
-    for sel, form in ((series, _series), (~series, rest)):
-        val[sel], err[sel] = form(a[sel], s, k[sel], r, tau)
-    return val, err
+    size = pts.a.size
+    # (tau - r)^2 once per geometry by Python's pow, which every published
+    # value was computed with; numpy's x * x rounds 1 case in 1,000 apart
+    geo = np.repeat(np.array([rs, taus, [(t - r) ** 2 for r, t in zip(rs, taus)]]), size, axis=1)
+    i = np.arange(geo.shape[1]) % size
+    r, tau, _ = geo
+    series = tau <= _SERIES * np.hypot(pts.a[i], r)
+    polar = ~series & (0.0 < r) & (r < _POLAR * tau)
+    val, err = np.empty(i.size), np.empty(i.size)
+    for sel, form in ((series, _series), (polar, _polar), (~(series | polar), _direct)):
+        if sel.any():
+            val[sel], err[sel] = form(pts, i[sel], geo[:, sel])
+    return val.reshape(-1, size), err.reshape(-1, size)
 
 
 @functools.lru_cache(maxsize=64)
-def _matsubara(s: float, Om: float, T: float, offset: float):
-    """Points a, exponent offsets k and weights w of Gamma = A sum w F_x(a) a^x,
-    x = s + k, e = s + offset.
+def _matsubara(s: float, Om: float, T: float, cross: bool) -> _Points:
+    """The points a, exponent offsets k and weights w of Gamma = A sum w F_x(a) a^x,
+    x = s + k, e = s - 1 at r = 0 and s - 2 at r > 0 (cross), with the
+    constants the forms read of them (_Points).
 
     At T = 0 the single point a = 1/Omega; else a_m, m < 24, and the
     Euler-Maclaurin terms at a_24: 2 T F_(e-1)(a_24) is
     2 T a_24 a_24^-e (F_(e-1) a^(e-1)), and so on.  The arrays are read-only,
     because every call with the same bath shares them.
     """
+    offset = -2.0 if cross else -1.0
     if T == 0.0:
         a, k, w = np.array([1.0 / Om]), np.array([offset]), np.ones(1)
     else:
@@ -364,9 +409,59 @@ def _matsubara(s: float, Om: float, T: float, offset: float):
         w = np.concatenate([[1.0], np.full(_MATSUBARA - 1, 2.0), [2.0 * scaled, 1.0],
                             _EM_COEF * scaled ** (1.0 - _EM_ORDERS)])
     w = w * a ** -(s + offset)
-    for arr in (a, k, w):
+    kinds = np.array(sorted(set(k.tolist())))  # eight exponents at most
+    at = np.searchsorted(kinds, k)
+    xs = s + kinds
+    gamma = np.array([_gamma_of(s, v) for v in kinds.tolist()])
+    coef = np.array([_pole_coef(v, n) if 0.0 <= n <= 2.0 else math.nan
+                     for v, n in zip(xs.tolist(), (-np.round(xs)).tolist())])
+    ratios = _gamma_ratios(s, kinds + 1.0 if cross else kinds)
+    pts = _Points(s, cross, a, k, w, s + k, gamma[at], coef[at], ratios[at])
+    for arr in pts[2:]:
         arr.flags.writeable = False
-    return a, k, w
+    return pts
+
+
+def _gamma_batch(bath: BathParams, geoms: Sequence[GeometryParams]) -> list[GammaEstimate]:
+    """gamma_detailed at every geometry of geoms, one bath, in its order.
+
+    The geometries at r = 0 and at r > 0 each share one set of points, so
+    every form runs once per block of geometries on all their points; each
+    geometry keeps its own fsum, error sum and Euler-Maclaurin bound.
+    """
+    s, Om, T = bath.s, bath.Omega, bath.T
+    out = [None] * len(geoms)
+    groups = ([], [])  # geometries evaluated at r = 0, and at r > 0
+    for j, geom in enumerate(geoms):
+        r, tau = geom.r, geom.tau
+        flag = s >= 2.0 and tau > 0.0 and abs(r - tau) < 1e-3 * tau
+        if bath.A == 0.0 or tau == 0.0:
+            out[j] = GammaEstimate(0.0, 0.0, flag)
+        else:
+            # below r Omega = 1e-150 the sinc(w r) correction, (r Omega)^2
+            # relative at most, is far below rounding, while r/a nears the
+            # subnormal range where r > 0 loses digits: r is taken as 0
+            groups[r * Om >= 1e-150].append((j, r, tau, flag))
+    for cross, members in enumerate(groups):
+        if not members:
+            continue
+        pts = _matsubara(s, Om, T, bool(cross))
+        size, a_M = pts.a.size, float(pts.a[-1])
+        weight = np.abs(pts.w)
+        per = max(1, _BLOCK // (size * _TWO_J.size))
+        for b0 in range(0, len(members), per):
+            block = members[b0:b0 + per]
+            rs = [r if cross else 0.0 for _, r, _, _ in block]
+            taus = [tau for _, _, tau, _ in block]
+            vals, errs = _transform(pts, rs, taus)
+            terms = pts.w * vals
+            sums = np.abs(terms).sum(axis=1).tolist()
+            for (j, _, tau, flag), r, row, row_err, total in zip(block, rs, terms.tolist(), errs, sums):
+                rest = 0.0 if T == 0.0 else _em_remainder(s, r, tau, a_M, T * a_M)
+                # a weight carries a few roundings, its product one more, fsum a last one
+                err = float(weight @ row_err) + 4.0 * _EPS * total + rest
+                out[j] = GammaEstimate(bath.A * math.fsum(row), bath.A * err, flag)
+    return out
 
 
 def gamma_detailed(bath: BathParams, geom: GeometryParams) -> GammaEstimate:
@@ -391,24 +486,7 @@ def gamma_detailed(bath: BathParams, geom: GeometryParams) -> GammaEstimate:
     The singular_flag marks the qualitative 2 <= s < 3 regime where the
     integral develops a kink across r = tau; the value is still returned.
     """
-    s, Om, T = bath.s, bath.Omega, bath.T
-    r, tau = geom.r, geom.tau
-    flag = s >= 2.0 and tau > 0.0 and abs(r - tau) < 1e-3 * tau
-    if bath.A == 0.0 or tau == 0.0:
-        return GammaEstimate(0.0, 0.0, flag)
-    if r * Om < 1e-150:
-        # the sinc(w r) correction, (r Omega)^2 relative at most, is far below
-        # rounding, while r/a nears the subnormal range where r > 0 loses digits
-        r = 0.0
-    # exponents are s plus integers, each rounded once from s (_gamma_of)
-    a, k, weight = _matsubara(s, Om, T, -1.0 if r == 0.0 else -2.0)
-    vals, errs = _transform(a, s, k, r, tau)
-    terms = weight * vals
-    value = math.fsum(terms.tolist())
-    rest = 0.0 if T == 0.0 else _em_remainder(s, r, tau, float(a[-1]), T * float(a[-1]))
-    # a weight carries a few roundings, its product one more, fsum a last one
-    err = float(np.abs(weight) @ errs) + 4.0 * _EPS * float(np.abs(terms).sum()) + rest
-    return GammaEstimate(bath.A * value, bath.A * err, flag)
+    return _gamma_batch(bath, [geom])[0]
 
 
 def _em_remainder(s: float, r: float, tau: float, a_M: float, scaled: float) -> float:
@@ -447,8 +525,9 @@ def gamma_pair(bath: BathParams, r: float, tau: float) -> DecoherencePair:
     DomainError is raised instead of silently truncating; the other two
     raise ConvergenceError.
     """
-    g0 = gamma_detailed(bath, GeometryParams(0.0, tau))
-    gr = g0 if r == 0.0 else gamma_detailed(bath, GeometryParams(r, tau))
+    geoms = [GeometryParams(0.0, tau)] + ([GeometryParams(r, tau)] if r != 0.0 else [])
+    ests = _gamma_batch(bath, geoms)
+    g0, gr = ests[0], ests[-1]
     slack = g0.error_estimate + gr.error_estimate + 1e-300
     v0, vr = g0.value, gr.value
     if v0 < 0.0:

@@ -5,6 +5,7 @@ subcommand, flat key=value), applies CLI flags on top, and emits CSV with a
 mandatory header, comma separators, \\n line endings and 17-significant-digit
 floats.  Identical config + seed gives byte-identical output; worker pools
 only change wall time, never bytes, because rows are written in grid order.
+scalability evaluates its whole grid in one call and starts no pool.
 
 Exit status: 0 success, 1 domain/usage error, 2 numerical non-convergence
 (or an oracle/formula disagreement beyond tolerance).
@@ -41,8 +42,7 @@ _LAYER_NAMES = {
              "scaling_identity_sides"),
     "residual": ("ResidualQuery", "asymptotic_residual", "code_avg_residual",
                  "independent_residual"),
-    "scalability": ("ScalingScenario", "geometric_grid", "scalability_row",
-                    "scalability_summary"),
+    "scalability": ("ScalingScenario", "geometric_grid", "scalability_verdict"),
 }
 
 
@@ -328,12 +328,6 @@ def cmd_codes(args, settings: Settings, tol) -> int:
 
 # ---------------------------------------------------------------- scalability
 
-def _scal_task(payload):
-    _bind("scalability")
-    scen, nv = payload
-    return scalability_row(scen, nv)
-
-
 def cmd_scalability(args, settings: Settings, tol) -> int:
     _bind("scalability")
     scen = ScalingScenario(
@@ -357,8 +351,8 @@ def cmd_scalability(args, settings: Settings, tol) -> int:
         grid = geometric_grid(scen.n0,
                               settings.get("n_max", float, 1e9),
                               settings.get("points", int, 29))
-    rows = _pmap(_scal_task, [(scen, nv) for nv in sorted(grid)], args.jobs)
-    report = scalability_summary(scen, rows)
+    # one closed-form batch for the whole grid, in this process whatever --jobs says
+    report = scalability_verdict(scen, sorted(grid))
     _emit(args.out, ["n", "a", "gammaR_eff", "gamma_budget", "satisfied"],
           [[r.n, r.a, r.gamma_r, r.budget, r.satisfied] for r in report.rows])
     line = f"verdict: {report.verdict}"

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bath import BathParams, GammaEstimate, GeometryParams, gamma_detailed
+from .bath import BathParams, GammaEstimate, GeometryParams, _gamma_batch
 from .errors import DomainError
 
 __all__ = [
@@ -134,17 +134,26 @@ class ScalabilityReport:
     crossover_n: float | None
 
 
+def _rows(scen: ScalingScenario, n_grid: Sequence[float]) -> list[ScalabilityRow]:
+    """The rows of n_grid, in its order: a = (n/n0)^y, Gamma_r at geometry
+    (a r0, a tau0) with all geometries in one closed-form batch, the budget
+    from gamma_budget, and the satisfied flag."""
+    ns, scales, geoms, budgets = list(n_grid), [], [], []
+    for n in ns:
+        a = (float(n) / scen.n0) ** scen.y
+        if scen.coupling != 0.0:
+            geoms.append(GeometryParams(a * scen.r0, a * scen.tau0))
+        scales.append(a)
+        budgets.append(gamma_budget(n, scen.q, scen.mu, scen.b).gamma_max)
+    ests = _gamma_batch(scen.bath, geoms) if geoms else [GammaEstimate(0.0, 0.0)] * len(ns)
+    return [ScalabilityRow(float(n), a, est.value, est.error_estimate, budget, est.value < budget)
+            for n, a, est, budget in zip(ns, scales, ests, budgets)]
+
+
 def scalability_row(scen: ScalingScenario, n: float) -> ScalabilityRow:
     """One grid point: a = (n/n0)^y, Gamma_r at geometry (a r0, a tau0),
     budget from gamma_budget, and the satisfied flag."""
-    a = (float(n) / scen.n0) ** scen.y
-    if scen.coupling == 0.0:
-        est = GammaEstimate(0.0, 0.0)
-    else:
-        est = gamma_detailed(scen.bath, GeometryParams(a * scen.r0, a * scen.tau0))
-    bud = gamma_budget(n, scen.q, scen.mu, scen.b)
-    return ScalabilityRow(float(n), a, est.value, est.error_estimate,
-                          bud.gamma_max, est.value < bud.gamma_max)
+    return _rows(scen, [n])[0]
 
 
 def scalability_summary(scen: ScalingScenario,
@@ -166,8 +175,14 @@ def scalability_summary(scen: ScalingScenario,
 
 
 def scalability_verdict(scen: ScalingScenario, n_grid: Sequence[float]) -> ScalabilityReport:
-    """Evaluate the budget condition along n_grid and classify the scenario."""
-    return scalability_summary(scen, [scalability_row(scen, nv) for nv in n_grid])
+    """Evaluate the budget condition along n_grid and classify the scenario.
+
+    The Gamma_r of the whole grid come from one closed-form batch of
+    geometries of the scenario's bath (bath module docstring), so a 29-point
+    grid costs about a fifth of 29 single calls; each row equals
+    scalability_row at its n bit for bit.
+    """
+    return scalability_summary(scen, _rows(scen, n_grid))
 
 
 def geometric_grid(lo: float, hi: float, points: int) -> list[float]:

@@ -11,6 +11,7 @@ from scipy import integrate
 from corrqec import bath as bath_module
 from corrqec import (
     BathParams,
+    DecoherencePair,
     GammaEstimate,
     GeometryParams,
     decoherence_integrand,
@@ -141,6 +142,45 @@ def test_poles_and_form_switches_match_dense_reference(s, temp):
         est = gamma_detailed(bath, GeometryParams(r, tau))
         ref, ref_err = dense_gamma(s, r, tau, temp=temp)
         assert abs(est.value - ref) <= 10.0 * (est.error_estimate + ref_err), (r, tau)
+
+
+# One batch holds the switches above, the series, polar and direct forms at
+# r = 0 and r > 0, the r Omega < 1e-150 clamp, tau = 0 and r = tau.
+BATCH_GEOMETRIES = SWITCHES + ((0.0, 0.02), (0.0, 1.0), (0.01, 1.0), (0.5, 1.0), (40.0, 2.0),
+                               (1e-160, 1.0), (0.3, 0.0), (0.0, 0.0), (1.0, 1.0))
+
+
+@pytest.mark.parametrize("temp", [0.0, 1.0])
+@pytest.mark.parametrize("s", [0.5, 1.0 - 1e-8, 1.0, 1.0 + 1e-8, 2.0 - 1e-8, 2.0, 2.0 + 1e-8, 2.5])
+def test_batch_equals_one_at_a_time(s, temp, monkeypatch):
+    bath = BathParams(1.0, s, 10.0, temp)
+    geoms = [GeometryParams(r, tau) for r, tau in BATCH_GEOMETRIES]
+    forms = set()
+    for name in ("_series", "_polar", "_direct"):
+        monkeypatch.setattr(bath_module, name, lambda pts, *args, _f=getattr(bath_module, name),
+                            _n=name: forms.add((_n, pts.cross)) or _f(pts, *args))
+    batch = bath_module._gamma_batch(bath, geoms)
+    assert forms == {("_series", False), ("_series", True), ("_polar", True),
+                     ("_direct", False), ("_direct", True)}
+    assert batch == [gamma_detailed(bath, g) for g in geoms]
+
+
+def test_batch_longer_than_one_block_equals_one_at_a_time():
+    bath = BathParams(1.0, 1.5, 10.0, 1.0)
+    geoms = [GeometryParams(ratio * tau, tau) for tau in np.geomspace(0.01, 1e3, 16).tolist()
+             for ratio in (0.0, 1e-170, 1e-3, 0.05, 0.2, 0.5, 1.0, 3.0, 40.0, 1e3)]
+    points = bath_module._matsubara(1.5, 10.0, 1.0, True).a.size
+    assert sum(g.r >= 1e-5 for g in geoms) * points * 24 > bath_module._BLOCK
+    assert bath_module._gamma_batch(bath, geoms) == [gamma_detailed(bath, g) for g in geoms]
+
+
+@pytest.mark.parametrize("s", [0.5, 1.0, 1.5])
+def test_pair_is_its_two_single_estimates(s):
+    bath = BathParams(1.0, s, 10.0, 1.0)
+    for r, tau in ((0.0, 1.0), (0.05, 1.0), (0.5, 1.0), (3.0, 2.0), (700.0, 20.0)):
+        g0 = gamma_detailed(bath, GeometryParams(0.0, tau))
+        gr = gamma_detailed(bath, GeometryParams(r, tau))
+        assert gamma_pair(bath, r, tau) == DecoherencePair(g0.value, gr.value), (r, tau)
 
 
 # ------------------------------------------------ Gauss-Jacobi term reference
@@ -312,9 +352,9 @@ def jacobi_term(x, a, r, tau):
 @pytest.mark.parametrize("s", [1.0 - 1e-8, 1.0, 1.0 + 1e-8, 2.0 - 1e-8, 2.0, 2.0 + 1e-8])
 def test_terms_match_gauss_jacobi_reference(s):
     for r, tau in SWITCHES:
-        a, k, _ = bath_module._matsubara(s, 10.0, 1.0, -1.0 if r == 0.0 else -2.0)
-        vals, errs = bath_module._transform(np.array(a), s, np.array(k), r, tau)
-        for ai, ki, val, err in zip(a.tolist(), k.tolist(), vals, errs):
+        pts = bath_module._matsubara(s, 10.0, 1.0, r > 0.0)
+        (vals,), (errs,) = bath_module._transform(pts, [r], [tau])
+        for ai, ki, val, err in zip(pts.a.tolist(), pts.k.tolist(), vals, errs):
             ref, ref_err = jacobi_term(s + ki, ai, r, tau)
             assert abs(val - ref) <= 10.0 * (err + ref_err), (r, tau, ai, ki)
 
@@ -377,7 +417,7 @@ def test_pair_clamps_within_the_error_estimates(monkeypatch):
     # slack = both estimates = 2e-10 here
     def pair(g0, gr):
         fake = {0.0: GammaEstimate(g0, 1e-10), 1.0: GammaEstimate(gr, 1e-10)}
-        monkeypatch.setattr(bath_module, "gamma_detailed", lambda b, g, q=None: fake[g.r])
+        monkeypatch.setattr(bath_module, "_gamma_batch", lambda b, geoms: [fake[g.r] for g in geoms])
         out = gamma_pair(OHMIC, 1.0, 1.0)
         return out.gamma0, out.gammaR
 

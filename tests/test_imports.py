@@ -4,7 +4,8 @@ scipy is a test-only dependency: scipy.special would cost about 0.35 s and
 scipy.linalg about 0.1 s of a CLI process's start, and the library needs
 neither.  A fresh interpreter whose import of scipy raises still runs the
 package and every subcommand, on every bath branch.  The process pool
-(multiprocessing) loads only when --jobs starts one.
+(multiprocessing) loads only when --jobs starts one, and scalability
+starts none.
 """
 import os
 import subprocess
@@ -97,6 +98,20 @@ def test_gamma_and_scalability_load_no_scipy_special(tmp_path):
         "fig1 False", "residual False", ""]
     for i in range(5):
         assert (tmp_path / f"{i}.csv").read_text(encoding="ascii").count("\n") > 1
+
+
+def test_scalability_with_jobs_starts_no_pool(tmp_path):
+    # scalability evaluates its grid in one closed-form batch in this
+    # process, whatever --jobs says
+    out = run_python("""
+        import sys
+        from corrqec import cli
+        assert cli.main(["scalability", "--jobs", "2", "--out", "s.csv"]) == 0
+        pool = ("concurrent.futures.process", "multiprocessing")
+        print("pool", [name for name in pool if name in sys.modules])
+    """, tmp_path)
+    assert [line for line in out.split("\n") if line.startswith("pool")] == ["pool []"]
+    assert (tmp_path / "s.csv").read_text(encoding="ascii").count("\n") == 30
 
 
 def test_package_and_every_subcommand_run_without_scipy(tmp_path):

@@ -21,6 +21,8 @@ from corrqec import (
     scalability_verdict,
 )
 from corrqec import residual as residual_module
+from corrqec.bath import GeometryParams, gamma_detailed
+from corrqec.scalability import scalability_row, scalability_summary
 from corrqec.errors import DomainError
 from corrqec.quadrature import integrate
 
@@ -426,6 +428,21 @@ def test_scalability_super_ohmic_scalable():
     assert report.verdict == "scalable"
     assert report.crossover_n is None
     assert all(row.satisfied for row in report.rows)
+
+
+# The verdict workload's scenarios, whose traced benchmark run replays each
+# row through gamma_detailed and compares the report exactly: the batched
+# verdict is the row-by-row loop, bit for bit.
+@pytest.mark.parametrize("s,coupling", [(1.0, 0.002), (2.0, 0.002), (2.5, 0.002), (1.0, 0.0),
+                                        (2.0, 0.0), (2.5, 0.0), (2.5, 50.0), (1.0, 1e-9)])
+def test_scalability_verdict_is_the_row_by_row_loop(s, coupling):
+    scen = scenario(s, coupling)
+    grid = geometric_grid(100.0, 1e9, 29)
+    report = scalability_verdict(scen, grid)
+    assert report == scalability_summary(scen, [scalability_row(scen, n) for n in grid])
+    for row in report.rows:
+        est = gamma_detailed(scen.bath, GeometryParams(row.a * scen.r0, row.a * scen.tau0))
+        assert (row.gamma_r, row.gamma_err) == (est.value, est.error_estimate)
 
 
 @pytest.mark.parametrize(
