@@ -10,8 +10,9 @@ recovery reads only the C1 x C1 block through the isometry, and the
 DensityMatrix checks read only the nonzero rows.  Each restriction skips
 exact zeros only: the checks decide exactly as on the full matrix, and the
 results equal the full-index computation up to rounding.  residual_exact
-does the chain's arithmetic on the C1 x C1 block and forms one dense matrix,
-for the final product, so its value is the chain's bit for bit.
+does the chain's arithmetic on the C1 x C1 block and takes the final product
+on R's 2^dim(C1) live rows, each kept at its full 2^n length (16 *
+2^(n + dim C1) bytes), so its value is the chain's bit for bit.
 """
 from __future__ import annotations
 
@@ -188,19 +189,22 @@ def residual_exact(psi: PureState, pair_dec: DecoherencePair,
 
     psi holds the logical amplitudes (a k-qubit state).  The result is bit
     for bit that of the call-by-call chain encode -> PureState.to_density ->
-    apply_channel -> apply_recovery -> vdot(psi, R psi), but only the last
-    product touches a 2^n x 2^n matrix.  The encoded state lives on its
+    apply_channel -> apply_recovery -> vdot(psi, R psi), and no 2^n x 2^n
+    matrix is formed.  The encoded state lives on its
     nonzero amplitudes L, a subset of S = C1, so the density matrix and its
     decay are the L x L block, each entry the same product as in the chain.
     Z-only noise keeps that block inside S x S, and the X_mu term of
     recovery reads (S xor mu) x (S xor mu), which misses S for 0 < |mu| <=
     t: every nonzero codeword of C1 has weight d1 >= 2t + 1 > |mu|.  So
     recovery's mu sum is the mu = 0 block alone, and the recovered R is
-    apply_recovery's S x S sandwich of it.  R is then scattered into a dense
-    matrix for R psi and the vdot, as the chain forms them: a sum over S
-    alone would round differently (by up to 1.6e-15 at n <= 10).  Of the
-    chain's DensityMatrix checks only finiteness can fail on these inputs
-    (a DecoherencePair may hold inf), and it is kept.
+    apply_recovery's S x S sandwich of it.  R psi is taken on R's live rows
+    S, each scattered into a full 2^n-long row (16 * 2^(n + dim C1) bytes,
+    0.5 MiB at n = 10, dim C1 = 5, against 16 MiB for R): BLAS then sums
+    each row's dot product in the same order as for the chain's 2^n rows,
+    while an |S|-long row or a sum over S alone rounds differently (by up
+    to 1.6e-15 at n <= 10).  The vdot runs over all 2^n entries, as in the
+    chain.  Of the chain's DensityMatrix checks only finiteness can fail on
+    these inputs (a DecoherencePair may hold inf), and it is kept.
     """
     if psi.n != pair_code.k:
         raise DomainError(f"logical state has {psi.n} qubits, code expects {pair_code.k}")
@@ -219,9 +223,11 @@ def residual_exact(psi: PureState, pair_dec: DecoherencePair,
     hit = at[support] >= 0
     block = np.zeros((support.size, support.size), dtype=complex)
     block[np.ix_(hit, hit)] = noisy[np.ix_(at[support[hit]], at[support[hit]])]
-    recovered = np.zeros((1 << n, 1 << n), dtype=complex)
-    recovered[np.ix_(support, support)] = _sandwich(block, pair_code, support)
-    fid = np.vdot(amps, recovered @ amps)
+    rows = np.zeros((support.size, 1 << n), dtype=complex)
+    rows[:, support] = _sandwich(block, pair_code, support)
+    out = np.zeros(1 << n, dtype=complex)
+    out[support] = rows @ amps
+    fid = np.vdot(amps, out)
     return 1.0 - float(fid.real)
 
 

@@ -1,4 +1,5 @@
 import math
+import os
 import tracemalloc
 from dataclasses import dataclass
 
@@ -28,6 +29,7 @@ from corrqec import (
 from corrqec.bitops import index_weights
 from corrqec.errors import DomainError, SizeLimitError
 from conftest import random_density, toy_pair_t0
+from test_imports import run_python
 
 
 def z_flip(state: PureState, qubit: int) -> DensityMatrix:
@@ -189,6 +191,14 @@ def test_to_density_equals_full_outer_product(steane, rng):
     assert np.count_nonzero(rho) == 16 * 16
 
 
+def _chain_residual(psi: PureState, dec: DecoherencePair, pair: CssCodePair) -> float:
+    # encode -> to_density -> apply_channel -> apply_recovery -> vdot, call by call
+    encoded = encode(psi.amplitudes, pair)
+    recovered = apply_recovery(apply_channel(encoded.to_density(), dec), pair)
+    fid = np.vdot(encoded.amplitudes, recovered.entries @ encoded.amplitudes)
+    return 1.0 - float(fid.real)
+
+
 def test_residual_exact_is_the_call_by_call_chain(steane):
     """residual_exact, on the C1 x C1 block, gives the bits of encode ->
     to_density -> apply_channel -> apply_recovery -> vdot called step by step:
@@ -208,13 +218,41 @@ def test_residual_exact_is_the_call_by_call_chain(steane):
         basis[0] = 1.0
         for psi in (random_state(pair.k, rng), PureState(pair.k, basis)):
             for dec in (DecoherencePair(0.02, 0.008), DecoherencePair(0.3, 0.0)):
-                encoded = encode(psi.amplitudes, pair)
-                noisy = apply_channel(encoded.to_density(), dec)
-                recovered = apply_recovery(noisy, pair)
-                fid = np.vdot(encoded.amplitudes, recovered.entries @ encoded.amplitudes)
                 values.append(residual_exact(psi, dec, pair))
-                assert values[-1] == 1.0 - float(fid.real)
+                assert values[-1] == _chain_residual(psi, dec, pair)
     assert min(values) < 0.0
+
+
+def test_residual_exact_is_the_chain_at_every_live_row_count():
+    """The final product runs over the 2^dim(C1) live rows of R, each at its
+    full 2^n length, and must sum every row as the chain's 2^n-row product
+    does.  Covers 2, 4, ..., 512 live rows (n = 2..10, k = 1..n-1, so dim C1
+    up to n - 1) and C1 = {0, e_0} at every n, where a BLAS tail kernel for a
+    few rows would show."""
+    rng = np.random.default_rng(30)
+    pairs = [_trivial_pair(n) for n in range(2, 11)]
+    pairs += [sample_random_css(n, k, rng) for n in range(2, 11) for k in range(1, n)]
+    assert {p.c1.dim for p in pairs} == set(range(1, 10))
+    decs = (DecoherencePair(0.02, 0.008), DecoherencePair(0.3, 0.0))
+    for i, pair in enumerate(pairs):
+        psi, dec = random_state(pair.k, rng), decs[i % 2]
+        assert residual_exact(psi, dec, pair) == _chain_residual(psi, dec, pair)
+
+
+def test_live_row_product_is_the_chain_with_one_blas_thread(monkeypatch, tmp_path):
+    # the suite runs with BLAS threading at its default and perfbench pins it
+    # to one thread; the bits are promised under both
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    out = run_python(f"""
+        import os, sys
+        sys.path.insert(0, {os.path.dirname(os.path.abspath(__file__))!r})
+        import test_oracle
+        assert os.environ["OPENBLAS_NUM_THREADS"] == os.environ["OMP_NUM_THREADS"] == "1"
+        test_oracle.test_residual_exact_is_the_chain_at_every_live_row_count()
+        print("ok")
+    """, tmp_path)
+    assert out.split() == ["ok"]
 
 
 @pytest.mark.parametrize("dec", [DecoherencePair(math.inf, 0.0),
@@ -237,6 +275,22 @@ def test_to_density_checks_bytes_before_allocating():
         tracemalloc.stop()
     assert peak < 1 << 20
     assert x_polarized_state(12).n == 12
+
+
+def test_residual_exact_forms_no_dense_matrix():
+    # n = 10, dim C1 = 5: the live rows of R take 16 * 2^15 B = 0.5 MiB, a
+    # 2^n x 2^n matrix alone 16 MiB
+    pair = sample_random_css(10, 1, np.random.default_rng(2))
+    psi, dec = random_state(1, np.random.default_rng(3)), DecoherencePair(0.02, 0.008)
+    residual_exact(psi, dec, pair)  # warms _isometry
+    tracemalloc.start()
+    try:
+        residual_exact(psi, dec, pair)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert pair.c1.dim == 5
+    assert peak < 2 << 20
 
 
 def _trivial_pair(n: int) -> CssCodePair:
